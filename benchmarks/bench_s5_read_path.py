@@ -11,9 +11,10 @@ the composed effect:
 * **bounds-pruned scans** — a windowed ``ts >= x LIMIT n`` SELECT must
   prune rows (``cassdb.store.rows_pruned`` delta > 0) and beat the
   full-partition scan it replaces;
-* **IN-list scatter-gather** — multi-partition reads fan out across the
-  coordinator pool; reported for visibility (pure-Python reads are
-  GIL-bound, so wall-clock parity is acceptable, ordering is not).
+* **IN-list fan-out** — ``select_partitions`` against a loop of
+  ``select_partition``; reported for visibility.  Both read partitions
+  in turn (a thread pool only added dispatch cost under the GIL), so
+  wall-clock parity is expected; ordering must match.
 
 Runs standalone for the CI smoke job::
 

@@ -41,6 +41,7 @@ from .query import Session, normalize_cql, parse_statement
 from .resilience import BreakerState, CircuitBreaker, RetryPolicy
 from .row import Cell, ClusteringBound, Row, merge_rows
 from .schema import Keyspace, TableSchema
+from .timebucket import HOUR, MINUTE, TimeBucketedTable
 
 __all__ = [
     "BatchUnavailableError",
@@ -54,10 +55,12 @@ __all__ = [
     "ClusteringBound",
     "Consistency",
     "GossipRunner",
+    "HOUR",
     "HashRing",
     "HeartbeatHistory",
     "PhiAccrualDetector",
     "InvalidQueryError",
+    "MINUTE",
     "Keyspace",
     "NodeDownError",
     "ReadTimeoutError",
@@ -67,6 +70,7 @@ __all__ = [
     "Session",
     "normalize_cql",
     "TableSchema",
+    "TimeBucketedTable",
     "UnavailableError",
     "WriteTimeoutError",
     "merge_rows",

@@ -116,6 +116,27 @@ def _filter_dicts(
     return dicts if limit is None else dicts[:limit]
 
 
+def _resolve_partition(
+    schema: TableSchema,
+    partition_values: Sequence[Any] | Mapping[str, Any],
+) -> tuple[str, dict[str, Any]]:
+    """(ring key, partition column → value) for a key tuple or mapping."""
+    if isinstance(partition_values, Mapping):
+        return schema.partition_key_of(partition_values), {
+            c: partition_values[c] for c in schema.partition_key}
+    return (schema.partition_key_from_tuple(partition_values),
+            dict(zip(schema.partition_key, partition_values)))
+
+
+def _as_dicts(source: "BlockView | list[Row]", schema: TableSchema,
+              pk_values: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """Every column of a replica's partition view, as plain dicts."""
+    if isinstance(source, BlockView):
+        return materialize_dicts(source, schema, pk_values, None)
+    return [schema.rehydrate(pk_values, r.clustering, r.as_dict())
+            for r in source]
+
+
 def _now_us() -> int:
     return time.time_ns() // 1_000
 
@@ -180,13 +201,11 @@ class Cluster:
         # subscribing to individual writes.
         self._table_epochs: dict[str, int] = {}
         self._epoch_lock = threading.Lock()
-        # Scatter-gather executors, created on first use.  Two pools, not
-        # one: a partition fan-out task may itself fan out to replicas,
-        # and nesting both on a single bounded pool can deadlock.
+        # Replica-read executor for QUORUM/ALL digest reads and hedged
+        # speculative reads, created on first use.  One read needs at
+        # most one worker per replica.
         self._pool_lock = threading.Lock()
-        self._scatter_pool_: ThreadPoolExecutor | None = None
         self._replica_pool_: ThreadPoolExecutor | None = None
-        self.scatter_width = min(8, max(2, len(node_ids)))
         # Process-wide obs series (shared across Cluster instances).
         registry = obs.get_registry()
         self._m_reads = registry.counter("cassdb.coordinator.reads")
@@ -201,8 +220,6 @@ class Cluster:
         self._m_consistency_failures = registry.counter(
             "cassdb.consistency.failures")
         self._m_locality_reads = registry.counter("cassdb.locality.reads")
-        self._m_scatter_gathers = registry.counter(
-            "cassdb.coordinator.scatter_gathers")
         self._m_agg_pushdown_partitions = registry.counter(
             "cassdb.coordinator.agg_pushdown_partitions")
         self._m_parallel_replica_reads = registry.counter(
@@ -241,37 +258,23 @@ class Cluster:
         self._m_breaker_skips = registry.counter(
             "cassdb.breaker.skipped_targets")
 
-    # -- scatter-gather pools ----------------------------------------------
-
-    def _pool(self, attr: str, prefix: str) -> ThreadPoolExecutor:
-        pool = getattr(self, attr)
-        if pool is None:
-            with self._pool_lock:
-                pool = getattr(self, attr)
-                if pool is None:
-                    pool = ThreadPoolExecutor(
-                        max_workers=self.scatter_width,
-                        thread_name_prefix=prefix,
-                    )
-                    setattr(self, attr, pool)
-        return pool
-
-    @property
-    def _scatter_pool(self) -> ThreadPoolExecutor:
-        return self._pool("_scatter_pool_", "cassdb-scatter")
+    # -- replica-read pool -------------------------------------------------
 
     @property
     def _replica_pool(self) -> ThreadPoolExecutor:
-        return self._pool("_replica_pool_", "cassdb-replica")
+        with self._pool_lock:
+            if self._replica_pool_ is None:
+                self._replica_pool_ = ThreadPoolExecutor(
+                    max_workers=self.ring.replication_factor,
+                    thread_name_prefix="cassdb-replica")
+            return self._replica_pool_
 
     def close(self) -> None:
-        """Shut down the scatter-gather pools (idempotent)."""
+        """Shut down the replica-read pool (idempotent)."""
         with self._pool_lock:
-            for attr in ("_scatter_pool_", "_replica_pool_"):
-                pool = getattr(self, attr)
-                if pool is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    setattr(self, attr, None)
+            if self._replica_pool_ is not None:
+                self._replica_pool_.shutdown(wait=True, cancel_futures=True)
+                self._replica_pool_ = None
 
     # -- schema -----------------------------------------------------------
 
@@ -741,14 +744,7 @@ class Cluster:
         predicates present, *limit* counts matching rows.
         """
         schema = self.schema(table)
-        if isinstance(partition_values, Mapping):
-            pk = schema.partition_key_of(partition_values)
-            pk_values: Mapping[str, Any] = {
-                c: partition_values[c] for c in schema.partition_key
-            }
-        else:
-            pk = schema.partition_key_from_tuple(partition_values)
-            pk_values = dict(zip(schema.partition_key, partition_values))
+        pk, pk_values = _resolve_partition(schema, partition_values)
         # A limit must count post-filter rows, so it cannot be pushed to
         # the replica read when predicates will drop some of them.
         store_limit = None if predicates else limit
@@ -764,36 +760,9 @@ class Cluster:
                 if limit is not None:
                     source = source.ordered(False, limit)
             return materialize_dicts(source, schema, pk_values, columns)
-        rows = source
-        if columns is None:
-            out = [
-                schema.rehydrate(pk_values, r.clustering, r.as_dict())
-                for r in rows
-            ]
-            return _filter_dicts(out, predicates, limit)
-        # Classify each projected column once, not once per row.
-        ck = schema.clustering_key
-        sources: list[tuple[str, Any]] = []
-        for col in columns:
-            if col in schema.partition_key:
-                sources.append(("pk", col))
-            elif col in ck:
-                sources.append(("ck", ck.index(col)))
-            else:
-                sources.append(("cell", col))
-        out: list[dict[str, Any]] = []
-        for r in rows:
-            d: dict[str, Any] = {}
-            for (kind, ref), col in zip(sources, columns):
-                if kind == "cell":
-                    cell = r.cells.get(ref)
-                    if cell is not None:
-                        d[col] = cell.value
-                elif kind == "ck":
-                    d[col] = r.clustering[ref]
-                else:
-                    d[col] = pk_values[ref]
-            out.append(d)
+        out = _as_dicts(source, schema, pk_values)
+        if columns is not None:
+            out = [{c: d[c] for c in columns if c in d} for d in out]
         return _filter_dicts(out, predicates, limit)
 
     def select_partitions(
@@ -809,43 +778,20 @@ class Cluster:
         predicates: Sequence[tuple[str, str, Any]] | None = None,
         consistency: Consistency = Consistency.ONE,
     ) -> list[list[dict[str, Any]]]:
-        """Scatter-gather read of several partitions (IN-list fan-out).
+        """Read several partitions (IN-list fan-out), in input order.
 
-        Dispatches one :meth:`select_partition` per key tuple to the
-        coordinator pool and gathers the per-partition row lists **in
-        input order** — Cassandra's multi-partition IN semantics, minus
-        the serial round-trips.  Single-key calls stay inline.
+        One :meth:`select_partition` per key tuple, in turn: the reads
+        are CPU-bound under the GIL, so a thread-pool fan-out only adds
+        dispatch cost (see docs/performance.md).
         """
-        if len(partition_values_list) <= 1:
-            return [
-                self.select_partition(
-                    table, pv, lower=lower, upper=upper, reverse=reverse,
-                    limit=limit, columns=columns, predicates=predicates,
-                    consistency=consistency,
-                )
-                for pv in partition_values_list
-            ]
-        self._m_scatter_gathers.inc()
-        pool = self._scatter_pool
-        with obs.get_tracer().span(
-            "cassdb.scatter_gather", table=table,
-            partitions=len(partition_values_list),
-        ):
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run, self.select_partition,
-                    table, pv, lower=lower, upper=upper, reverse=reverse,
-                    limit=limit, columns=columns, predicates=predicates,
-                    consistency=consistency,
-                )
-                for pv in partition_values_list
-            ]
-            try:
-                return [f.result() for f in futures]
-            except BaseException:
-                for f in futures:
-                    f.cancel()
-                raise
+        return [
+            self.select_partition(
+                table, pv, lower=lower, upper=upper, reverse=reverse,
+                limit=limit, columns=columns, predicates=predicates,
+                consistency=consistency,
+            )
+            for pv in partition_values_list
+        ]
 
     def aggregate_partitions(
         self,
@@ -868,43 +814,18 @@ class Cluster:
         without materializing rows) and a list of live :class:`Row`
         objects otherwise.  Partials come back in input order; merging
         them is the caller's job (the query engine's MergePartials
-        operator).  Multi-partition calls scatter-gather on the
-        coordinator pool like :meth:`select_partitions`.
+        operator).  Partitions are folded in turn, like
+        :meth:`select_partitions` reads them.
         """
         schema = self.schema(table)
         self._m_agg_pushdown_partitions.inc(len(partition_values_list))
-
-        def fold_one(pv: Sequence[Any] | Mapping[str, Any]) -> Any:
-            if isinstance(pv, Mapping):
-                pk = schema.partition_key_of(pv)
-                pk_values = {c: pv[c] for c in schema.partition_key}
-            else:
-                pk = schema.partition_key_from_tuple(pv)
-                pk_values = dict(zip(schema.partition_key, pv))
-            source = self._replicated_read(
+        partials = []
+        for pv in partition_values_list:
+            pk, pk_values = _resolve_partition(schema, pv)
+            partials.append(fold(pk_values, self._replicated_read(
                 table, pk, lower, upper, False, None, consistency,
-                as_view=True,
-            )
-            return fold(pk_values, source)
-
-        if len(partition_values_list) <= 1:
-            return [fold_one(pv) for pv in partition_values_list]
-        self._m_scatter_gathers.inc()
-        pool = self._scatter_pool
-        with obs.get_tracer().span(
-            "cassdb.aggregate_scatter", table=table,
-            partitions=len(partition_values_list),
-        ):
-            futures = [
-                pool.submit(contextvars.copy_context().run, fold_one, pv)
-                for pv in partition_values_list
-            ]
-            try:
-                return [f.result() for f in futures]
-            except BaseException:
-                for f in futures:
-                    f.cancel()
-                raise
+                as_view=True)))
+        return partials
 
     def _replicated_read(
         self,
@@ -955,14 +876,15 @@ class Cluster:
         targets, spares = self._read_targets(alive, required)
         responses: dict[str, list[Row]] = {}
 
-        def read_replica(replica_id: str) -> list[Row] | None:
+        def read_replica(replica_id: str, view: bool = False
+                         ) -> "BlockView | list[Row] | None":
             g = self.chaos_gate
             if g is not None:
                 g.before_replica_read(replica_id)
+            node = self.nodes[replica_id]
+            read = node.read_partition_view if view else node.read_partition
             try:
-                rows = self.nodes[replica_id].read_partition(
-                    table, partition_key, lower, upper, reverse, limit
-                )
+                rows = read(table, partition_key, lower, upper, reverse, limit)
             except NodeDownError:  # raced with a kill; treat as no response
                 self._breaker_failure(replica_id)
                 return None
@@ -970,26 +892,16 @@ class Cluster:
             return rows
 
         if len(targets) == 1:
+            rows = read_replica(targets[0], as_view)
             if as_view:
                 # Vectorized fast path (the CL=ONE steady state): hand
                 # the replica's BlockView straight through — the store
                 # already dropped dead rows and applied reverse/limit,
                 # and a single response needs no reconciliation.
-                rid = targets[0]
-                g = self.chaos_gate
-                if g is not None:
-                    g.before_replica_read(rid)
-                try:
-                    source = self.nodes[rid].read_partition_view(
-                        table, partition_key, lower, upper, reverse, limit
-                    )
-                except NodeDownError:
-                    self._breaker_failure(rid)
+                if rows is None:
                     self._m_consistency_failures.inc()
                     raise ReadTimeoutError(required, 0)
-                self._breaker_success(rid)
-                return source
-            rows = read_replica(targets[0])
+                return rows
             if rows is not None:
                 responses[targets[0]] = rows
         else:
@@ -1079,24 +991,10 @@ class Cluster:
         """
         schema = self.schema(table)
         for pk in sorted(self.partition_keys(table)):
-            pk_values = schema.partition_values_from_key(pk)
-            replicas = self.ring.replicas(pk)
-            for replica_id in replicas:
-                node = self.nodes[replica_id]
-                if not node.up:
-                    continue
-                try:
-                    source = node.read_partition_view(table, pk)
-                except NodeDownError:  # crashed but unconvicted: next replica
-                    continue
-                if isinstance(source, BlockView):
-                    yield from materialize_dicts(source, schema, pk_values,
-                                                 None)
-                else:
-                    for row in source:
-                        yield schema.rehydrate(pk_values, row.clustering,
-                                               row.as_dict())
-                break
+            source = self._first_alive_view(table, pk)
+            if source is not None:
+                yield from _as_dicts(
+                    source, schema, schema.partition_values_from_key(pk))
 
     def fold_table_partitions(
         self,
@@ -1112,17 +1010,23 @@ class Cluster:
         """
         schema = self.schema(table)
         for pk in sorted(self.partition_keys(table)):
-            pk_values = schema.partition_values_from_key(pk)
-            for replica_id in self.ring.replicas(pk):
-                node = self.nodes[replica_id]
-                if not node.up:
-                    continue
-                try:
-                    source = node.read_partition_view(table, pk)
-                except NodeDownError:  # crashed but unconvicted: next replica
-                    continue
-                yield fold(pk_values, source)
-                break
+            source = self._first_alive_view(table, pk)
+            if source is not None:
+                yield fold(schema.partition_values_from_key(pk), source)
+
+    def _first_alive_view(self, table: str, partition_key: str
+                          ) -> "BlockView | list[Row] | None":
+        """One partition as its first alive replica holds it, or None
+        when no replica answers."""
+        for replica_id in self.ring.replicas(partition_key):
+            node = self.nodes[replica_id]
+            if not node.up:
+                continue
+            try:
+                return node.read_partition_view(table, partition_key)
+            except NodeDownError:  # crashed but unconvicted: next replica
+                continue
+        return None
 
     def partition_keys(self, table: str) -> set[str]:
         keys: set[str] = set()
@@ -1153,31 +1057,15 @@ class Cluster:
         with obs.get_tracer().span(
             "cassdb.read", table=table, partition=partition_key, locality=True
         ) as span:
-            rows = self._read_partition_raw_impl(table, partition_key)
+            schema = self.schema(table)
+            source = self._first_alive_view(table, partition_key)
+            if source is None:
+                raise UnavailableError(1, 0)
+            rows = _as_dicts(source, schema,
+                             schema.partition_values_from_key(partition_key))
             span.set(rows=len(rows))
         self._m_read_latency.observe((time.perf_counter() - start) * 1000.0)
         return rows
-
-    def _read_partition_raw_impl(
-        self, table: str, partition_key: str
-    ) -> list[dict[str, Any]]:
-        schema = self.schema(table)
-        pk_values = schema.partition_values_from_key(partition_key)
-        for replica_id in self.ring.replicas(partition_key):
-            node = self.nodes[replica_id]
-            if not node.up:
-                continue
-            try:
-                source = node.read_partition_view(table, partition_key)
-            except NodeDownError:  # crashed but unconvicted: next replica
-                continue
-            if isinstance(source, BlockView):
-                return materialize_dicts(source, schema, pk_values, None)
-            return [
-                schema.rehydrate(pk_values, r.clustering, r.as_dict())
-                for r in source
-            ]
-        raise UnavailableError(1, 0)
 
     # -- anti-entropy repair -----------------------------------------------
 

@@ -41,6 +41,7 @@ import sys
 from typing import Sequence
 
 from repro.core import LogAnalyticsFramework
+from repro.core.model import EVENT_SYNOPSIS
 from repro.genlog import JobGenerator, LogGenerator
 from repro.titan import NodeLocation, TitanTopology
 
@@ -326,8 +327,8 @@ def _cmd_analyze(args) -> int:
             print(fw.render_word_bubbles(ctx, n=10))
     else:  # synopsis
         fw.refresh_synopsis()
-        hours = range(int(ctx.t0 // 3600), int((ctx.t1 - 1e-9) // 3600) + 1)
-        rows = [r for h in hours for r in fw.model.synopsis_for_hour(h)]
+        rows = [r for h in EVENT_SYNOPSIS.buckets(ctx.t0, ctx.t1)
+                for r in fw.model.synopsis_for_hour(h)]
         print(json.dumps(rows, indent=None if args.as_json else 2))
     fw.stop()
     return 0

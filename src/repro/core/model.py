@@ -39,7 +39,9 @@ import itertools
 import json
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.cassdb import Cluster, ClusteringBound, TableSchema
+from repro.cassdb import (
+    HOUR, Cluster, ClusteringBound, TableSchema, TimeBucketedTable,
+)
 from repro.genlog.jobs import ApplicationRun
 from repro.genlog.templates import render_line
 from repro.titan.events import EventRegistry
@@ -104,6 +106,13 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
     ),
 }
 
+# The hour-bucketed tables.  Runs and the synopsis need overlap or
+# whole-hour semantics, so they use only the bucket arithmetic.
+EVENT_BY_TIME, EVENT_BY_LOCATION, APPLICATION_BY_TIME, EVENT_SYNOPSIS = (
+    TimeBucketedTable(TABLE_SCHEMAS[name], "hour", HOUR)
+    for name in ("event_by_time", "event_by_location",
+                 "application_by_time", "eventsynopsis"))
+
 
 class LogDataModel:
     """The eight-table model bound to a cluster."""
@@ -166,13 +175,12 @@ class LogDataModel:
         rows: list[dict[str, Any]] = []
         for event in events:
             seq = next(self._seq)
-            hour = int(event.ts // 3600)
             attrs_json = json.dumps(event.attrs, sort_keys=True) if event.attrs else None
             row = {
                 "ts": float(event.ts),
                 "seq": seq,
                 "amount": int(getattr(event, "amount", 1)),
-                "hour": hour,
+                "hour": EVENT_BY_TIME.bucket(event.ts),
                 "type": event.type,
                 "source": event.component,
             }
@@ -215,9 +223,11 @@ class LogDataModel:
                 "nodes": json.dumps(run.nodes),
                 "exit_status": run.exit_status,
             }
-            first_hour = int(run.start // 3600)
-            last_hour = int(max(run.start, run.end - 1e-9) // 3600)
-            for hour in range(first_hour, last_hour + 1):
+            # A zero-length run still lands in its start hour.
+            first_hour = APPLICATION_BY_TIME.bucket(run.start)
+            hours = (APPLICATION_BY_TIME.buckets(run.start, run.end)
+                     or (first_hour,))
+            for hour in hours:
                 by_time.append(
                     {**common, "hour": hour, "is_start": hour == first_hour}
                 )
@@ -236,26 +246,12 @@ class LogDataModel:
     def events_of_type(self, event_type: str, t0: float, t1: float
                        ) -> Iterator[dict[str, Any]]:
         """Events of one type in [t0, t1): one partition read per hour."""
-        if t1 <= t0:
-            return
-        for hour in range(int(t0 // 3600), int((t1 - 1e-9) // 3600) + 1):
-            yield from self.cluster.select_partition(
-                "event_by_time", (hour, event_type),
-                lower=ClusteringBound((t0,)),
-                upper=ClusteringBound((t1,), inclusive=False),
-            )
+        return EVENT_BY_TIME.read(self.cluster, t0, t1, (event_type,))
 
     def events_at_location(self, source: str, t0: float, t1: float
                            ) -> Iterator[dict[str, Any]]:
         """All events at one component in [t0, t1), any type."""
-        if t1 <= t0:
-            return
-        for hour in range(int(t0 // 3600), int((t1 - 1e-9) // 3600) + 1):
-            yield from self.cluster.select_partition(
-                "event_by_location", (hour, source),
-                lower=ClusteringBound((t0,)),
-                upper=ClusteringBound((t1,), inclusive=False),
-            )
+        return EVENT_BY_LOCATION.read(self.cluster, t0, t1, (source,))
 
     # -- application queries ----------------------------------------------------------
 
@@ -272,13 +268,11 @@ class LogDataModel:
 
     def runs_in_interval(self, t0: float, t1: float) -> list[dict[str, Any]]:
         """Runs overlapping [t0, t1), deduplicated across hour partitions."""
-        if t1 <= t0:
-            return []
-        rows: list[dict[str, Any]] = []
-        for hour in range(int(t0 // 3600), int((t1 - 1e-9) // 3600) + 1):
-            rows.extend(
-                self.cluster.select_partition("application_by_time", (hour,))
-            )
+        rows = [
+            row for hour in APPLICATION_BY_TIME.buckets(t0, t1)
+            for row in self.cluster.select_partition(
+                "application_by_time", (hour,))
+        ]
         return self._dedupe_runs(
             r for r in rows if r["start"] < t1 and r["end"] > t0
         )
@@ -286,7 +280,7 @@ class LogDataModel:
     def runs_running_at(self, ts: float) -> list[dict[str, Any]]:
         """Placement snapshot: runs active at *ts* (Fig 6, bottom)."""
         rows = self.cluster.select_partition(
-            "application_by_time", (int(ts // 3600),)
+            "application_by_time", (APPLICATION_BY_TIME.bucket(ts),)
         )
         return self._dedupe_runs(
             r for r in rows if r["start"] <= ts < r["end"]

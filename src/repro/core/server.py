@@ -26,14 +26,18 @@ import asyncio
 import contextvars
 import json
 import time
+from collections import Counter
 from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
 from repro import obs
+from repro.cassdb import SchemaError, TimeBucketedTable
 from repro.cassdb.query import Delete, Insert, Select, normalize_cql
 from repro.cql import CQLError
+from repro.detect.alerts import ALERTS_BY_TIME
+from repro.obs.export import METRICS_BY_TIME, PROFILES_BY_TIME, SPANS_BY_TIME
 
 from .context import Context
 from .framework import LogAnalyticsFramework
@@ -59,6 +63,33 @@ COMPLEX_OPS = frozenset({
     "keywords", "association_rules", "placement", "refresh_synopsis",
     "mine_precursors", "application_profiles", "materialize_composites",
 })
+
+
+_TELEMETRY_REMEDY = ("a TelemetryPipeline (repro.obs.export) so telemetry "
+                     "self-ingests")
+_ALERTS_REMEDY = "a DetectionPipeline (repro.detect) so alerts land"
+
+
+def _span_trees(rows) -> tuple[int, list[dict]]:
+    """Link flat span rows into trees via their parent ids.
+
+    Returns the span count and the roots (spans whose parent is not
+    among the rows), in row order; children sort by (ts, span_id)."""
+    by_id: dict[int, dict] = {}
+    for row in rows:
+        node = {k: v for k, v in row.items() if k != "minute_bucket"}
+        node["children"] = []
+        by_id[node["span_id"]] = node
+    roots = []
+    for node in by_id.values():
+        parent = by_id.get(node.get("parent_id"))
+        if parent is not None:
+            parent["children"].append(node)
+        else:
+            roots.append(node)
+    for node in by_id.values():
+        node["children"].sort(key=lambda n: (n["ts"], n["span_id"]))
+    return len(by_id), roots
 
 
 class _PreSerialized:
@@ -343,28 +374,26 @@ class AnalyticsServer:
             ]
         return entries
 
-    # -- self-ingested telemetry ops (repro.obs.export) -----------------------
+    # -- time-bucketed table ops (telemetry, profiles, alerts) ----------------
 
-    def _require_telemetry_table(self, table: str) -> None:
-        from repro.cassdb.errors import SchemaError
-
-        try:
-            self.framework.cluster.schema(table)
-        except SchemaError:
-            raise LookupError(
-                f"{table} not provisioned — attach a TelemetryPipeline "
-                "(repro.obs.export) so telemetry self-ingests"
-            ) from None
-
-    @staticmethod
-    def _telemetry_window(request) -> tuple[float, float]:
+    def _window_rows(self, request, table: TimeBucketedTable, remedy: str,
+                     key=None):
+        """``(t0, t1, rows)`` of *table* in the request's ``[t0, t1)``
+        window (default: the last 15 minutes); a LookupError naming
+        *remedy* if the table is not provisioned."""
         t1 = request.get("t1")
         t1 = time.time() if t1 is None else float(t1)
         t0 = request.get("t0")
         t0 = t1 - 900.0 if t0 is None else float(t0)
         if t1 <= t0:
             raise ValueError("telemetry window requires t0 < t1")
-        return t0, t1
+        cluster = self.framework.cluster
+        try:
+            cluster.schema(table.name)
+        except SchemaError:
+            raise LookupError(
+                f"{table.name} not provisioned — attach {remedy}") from None
+        return t0, t1, table.read(cluster, t0, t1, key)
 
     def _op_telemetry_series(self, request):
         """Time-windowed series of one metric from ``metrics_by_time``:
@@ -373,78 +402,37 @@ class AnalyticsServer:
         name = request.get("name")
         if not name:
             raise ValueError("telemetry_series requires 'name'")
-        t0, t1 = self._telemetry_window(request)
-        self._require_telemetry_table("metrics_by_time")
-        cluster = self.framework.cluster
-        partitions = [
-            (minute, name)
-            for minute in range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1)
-        ]
+        t0, t1, rows = self._window_rows(
+            request, METRICS_BY_TIME, _TELEMETRY_REMEDY, (name,))
         want = request.get("labels") or {}
         points = []
-        for rows in cluster.select_partitions("metrics_by_time", partitions):
-            for row in rows:
-                if not t0 <= row["ts"] < t1:
-                    continue
-                labels = (json.loads(row["labels"])
-                          if row.get("labels") else {})
-                if want and any(labels.get(k) != v for k, v in want.items()):
-                    continue
-                point = {k: v for k, v in row.items()
-                         if k not in ("minute_bucket", "metric_name",
-                                      "labels")}
-                if labels:
-                    point["labels"] = labels
-                if point.get("exemplars"):
-                    # Stored JSON-encoded; surface as structured objects
-                    # so dashboards can link straight to the trace.
-                    point["exemplars"] = json.loads(point["exemplars"])
-                points.append(point)
+        for row in rows:
+            labels = json.loads(row["labels"]) if row.get("labels") else {}
+            if want and any(labels.get(k) != v for k, v in want.items()):
+                continue
+            point = {k: v for k, v in row.items()
+                     if k not in ("minute_bucket", "metric_name", "labels")}
+            if labels:
+                point["labels"] = labels
+            if point.get("exemplars"):
+                # Stored JSON-encoded; surface as structured objects
+                # so dashboards can link straight to the trace.
+                point["exemplars"] = json.loads(point["exemplars"])
+            points.append(point)
         points.sort(key=lambda p: (p["ts"], p.get("seq", 0)))
         return {"name": name, "t0": t0, "t1": t1, "points": points}
 
     def _op_telemetry_spans(self, request):
         """Slowest spans in a window from ``spans_by_time``,
         reconstructed as trees via their parent links."""
-        t0, t1 = self._telemetry_window(request)
         limit = int(request.get("limit", 20))
         component = request.get("component")
-        self._require_telemetry_table("spans_by_time")
-        cluster = self.framework.cluster
-        minutes = range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1)
-        if component:
-            partitions = [(minute, component) for minute in minutes]
-        else:
-            schema = cluster.schema("spans_by_time")
-            wanted = set(minutes)
-            partitions = sorted(
-                (values["minute_bucket"], values["component"])
-                for values in (
-                    schema.partition_values_from_key(pk)
-                    for pk in cluster.partition_keys("spans_by_time")
-                )
-                if values["minute_bucket"] in wanted
-            )
-        by_id: dict[int, dict] = {}
-        for rows in cluster.select_partitions("spans_by_time", partitions):
-            for row in rows:
-                if t0 <= row["ts"] < t1:
-                    node = {k: v for k, v in row.items()
-                            if k != "minute_bucket"}
-                    node["children"] = []
-                    by_id[node["span_id"]] = node
-        roots = []
-        for node in by_id.values():
-            parent = by_id.get(node.get("parent_id"))
-            if parent is not None:
-                parent["children"].append(node)
-            else:
-                roots.append(node)
-        for node in by_id.values():
-            node["children"].sort(key=lambda n: (n["ts"], n["span_id"]))
+        t0, t1, rows = self._window_rows(
+            request, SPANS_BY_TIME, _TELEMETRY_REMEDY,
+            (component,) if component else None)
+        spans, roots = _span_trees(rows)
         roots.sort(key=lambda n: -n["duration_ms"])
-        return {"t0": t0, "t1": t1, "spans": len(by_id),
-                "trees": roots[:limit]}
+        return {"t0": t0, "t1": t1, "spans": spans, "trees": roots[:limit]}
 
     def _op_profile_flame(self, request):
         """Windowed flame data from ``profiles_by_time``: folded stacks
@@ -453,33 +441,15 @@ class AnalyticsServer:
         (minute, component), the event-table read path verbatim."""
         from repro.obs.profile import hot_functions
 
-        t0, t1 = self._telemetry_window(request)
         component = request.get("component")
         top = int(request.get("top", 10))
-        self._require_telemetry_table("profiles_by_time")
-        cluster = self.framework.cluster
-        minutes = range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1)
-        if component:
-            partitions = [(minute, component) for minute in minutes]
-        else:
-            schema = cluster.schema("profiles_by_time")
-            wanted = set(minutes)
-            partitions = sorted(
-                (values["minute_bucket"], values["component"])
-                for values in (
-                    schema.partition_values_from_key(pk)
-                    for pk in cluster.partition_keys("profiles_by_time")
-                )
-                if values["minute_bucket"] in wanted
-            )
+        t0, t1, rows = self._window_rows(
+            request, PROFILES_BY_TIME, _TELEMETRY_REMEDY,
+            (component,) if component else None)
         by_stack: dict[tuple[str, str], int] = {}
-        for rows in cluster.select_partitions("profiles_by_time",
-                                              partitions):
-            for row in rows:
-                if not t0 <= row["ts"] < t1:
-                    continue
-                key = (row["component"], row["stack"])
-                by_stack[key] = by_stack.get(key, 0) + row["samples"]
+        for row in rows:
+            key = (row["component"], row["stack"])
+            by_stack[key] = by_stack.get(key, 0) + row["samples"]
         folded = sorted(
             f"{comp};{stack} {count}"
             for (comp, stack), count in by_stack.items()
@@ -514,81 +484,34 @@ class AnalyticsServer:
         # Aged out of the in-process ring: rebuild the tree from the
         # self-ingested span rows (the same reconstruction
         # telemetry_spans does, filtered to one trace).
-        tree = self._trace_from_store(request, trace_id)
-        if tree is None:
+        _, _, rows = self._window_rows(request, SPANS_BY_TIME,
+                                       _TELEMETRY_REMEDY)
+        _, roots = _span_trees(r for r in rows
+                               if r.get("trace_id") == trace_id)
+        if not roots:
             raise LookupError(f"trace {trace_id} not found")
-        return critical_path(tree)
-
-    def _trace_from_store(self, request, trace_id: int):
-        self._require_telemetry_table("spans_by_time")
-        t0, t1 = self._telemetry_window(request)
-        cluster = self.framework.cluster
-        schema = cluster.schema("spans_by_time")
-        wanted = set(range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1))
-        partitions = sorted(
-            (values["minute_bucket"], values["component"])
-            for values in (
-                schema.partition_values_from_key(pk)
-                for pk in cluster.partition_keys("spans_by_time")
-            )
-            if values["minute_bucket"] in wanted
-        )
-        by_id: dict[int, dict] = {}
-        for rows in cluster.select_partitions("spans_by_time", partitions):
-            for row in rows:
-                if row.get("trace_id") != trace_id:
-                    continue
-                node = {k: v for k, v in row.items() if k != "minute_bucket"}
-                node["children"] = []
-                by_id[node["span_id"]] = node
-        root = None
-        for node in by_id.values():
-            parent = by_id.get(node.get("parent_id"))
-            if parent is not None:
-                parent["children"].append(node)
-            elif root is None or node["duration_ms"] > root["duration_ms"]:
-                root = node
-        for node in by_id.values():
-            node["children"].sort(key=lambda n: (n["ts"], n["span_id"]))
-        return root
+        return critical_path(max(roots, key=lambda n: n["duration_ms"]))
 
     # -- detection alerts (repro.detect) --------------------------------------
 
     def _alert_rows(self, request) -> tuple[float, float, list[dict]]:
         """Windowed, filtered rows of ``alerts_by_time``: one partition
-        read per covered minute, the same scatter ``telemetry_series``
-        does — plus optional severity/detector equality filters."""
-        from repro.cassdb.errors import SchemaError
-
-        t0, t1 = self._telemetry_window(request)
-        try:
-            self.framework.cluster.schema("alerts_by_time")
-        except SchemaError:
-            raise LookupError(
-                "alerts_by_time not provisioned — attach a "
-                "DetectionPipeline (repro.detect) so alerts land"
-            ) from None
+        read per covered minute, plus optional severity/detector
+        equality filters."""
         severity = request.get("severity")
         detector = request.get("detector")
-        partitions = [
-            (minute,)
-            for minute in range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1)
-        ]
+        t0, t1, stored = self._window_rows(
+            request, ALERTS_BY_TIME, _ALERTS_REMEDY)
         rows: list[dict] = []
-        for part in self.framework.cluster.select_partitions(
-                "alerts_by_time", partitions):
-            for row in part:
-                if not t0 <= row["ts"] < t1:
-                    continue
-                if severity and row.get("severity") != severity:
-                    continue
-                if detector and row.get("detector") != detector:
-                    continue
-                alert = {k: v for k, v in row.items()
-                         if k != "minute_bucket"}
-                if alert.get("evidence"):
-                    alert["evidence"] = json.loads(alert["evidence"])
-                rows.append(alert)
+        for row in stored:
+            if severity and row.get("severity") != severity:
+                continue
+            if detector and row.get("detector") != detector:
+                continue
+            alert = {k: v for k, v in row.items() if k != "minute_bucket"}
+            if alert.get("evidence"):
+                alert["evidence"] = json.loads(alert["evidence"])
+            rows.append(alert)
         rows.sort(key=lambda a: (a["ts"], a.get("seq", 0)))
         return t0, t1, rows
 
@@ -603,15 +526,9 @@ class AnalyticsServer:
         """Aggregate alert picture for a window: counts by severity and
         detector, the busiest keys, and the newest alert's timestamp."""
         t0, t1, rows = self._alert_rows(request)
-        by_severity: dict[str, int] = {}
-        by_detector: dict[str, int] = {}
-        by_key: dict[str, int] = {}
-        for row in rows:
-            by_severity[row["severity"]] = (
-                by_severity.get(row["severity"], 0) + 1)
-            by_detector[row["detector"]] = (
-                by_detector.get(row["detector"], 0) + 1)
-            by_key[row["key"]] = by_key.get(row["key"], 0) + 1
+        by_severity = Counter(row["severity"] for row in rows)
+        by_detector = Counter(row["detector"] for row in rows)
+        by_key = Counter(row["key"] for row in rows)
         top_keys = sorted(by_key.items(), key=lambda kv: (-kv[1], kv[0]))
         return {
             "t0": t0, "t1": t1, "total": len(rows),

@@ -459,8 +459,8 @@ class _ScanBase(PhysicalOp):
 
 
 class PartitionScanExec(_ScanBase):
-    """Routed partition read: scatter-gather over the IN fan-out, with
-    clustering bounds, projection and limit pushed into the store."""
+    """Routed partition read: one store read per key of the IN fan-out,
+    with clustering bounds, projection and limit pushed into the store."""
 
     name = "PartitionScan"
 

@@ -8,13 +8,12 @@ and the ``repro alerts`` CLI.  See ``docs/detection.md``.
 """
 
 from .alerts import (
-    ALERT_SCHEMAS,
+    ALERTS_BY_TIME,
     ALERTS_TOPIC,
     SEVERITIES,
     Alert,
     AlertIngestor,
     AlertPublisher,
-    ensure_alert_tables,
 )
 from .detectors import (
     Detector,
@@ -28,13 +27,12 @@ from .detectors import (
 from .engine import DetectionEngine, DetectionPipeline
 
 __all__ = [
-    "ALERT_SCHEMAS",
+    "ALERTS_BY_TIME",
     "ALERTS_TOPIC",
     "SEVERITIES",
     "Alert",
     "AlertIngestor",
     "AlertPublisher",
-    "ensure_alert_tables",
     "Detector",
     "EWMARateDetector",
     "LeadLagDetector",

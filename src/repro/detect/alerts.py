@@ -17,13 +17,12 @@ alerts, which is what lets CI diff two detection runs.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, TYPE_CHECKING
 
-from repro.cassdb import TableSchema
-from repro.cassdb.errors import SchemaError
+from repro.cassdb import MINUTE, TableSchema, TimeBucketedTable
+from repro.ingest.landing import LandingIngestor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bus import MessageBus
@@ -32,9 +31,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ALERTS_TOPIC",
-    "ALERT_SCHEMAS",
+    "ALERTS_BY_TIME",
     "SEVERITIES",
-    "ensure_alert_tables",
     "Alert",
     "AlertPublisher",
     "AlertIngestor",
@@ -42,14 +40,12 @@ __all__ = [
 
 ALERTS_TOPIC = "alerts"
 
-MINUTE = 60.0
-
 # Ordered least to most severe; "info" is structure worth a look
 # (lead-lag findings, storm all-clears), "critical" is an incident.
 SEVERITIES = ("info", "warning", "critical")
 
-ALERT_SCHEMAS: dict[str, TableSchema] = {
-    "alerts_by_time": TableSchema(
+ALERTS_BY_TIME = TimeBucketedTable(
+    TableSchema(
         "alerts_by_time",
         partition_key=("minute_bucket",),
         clustering_key=("ts", "seq"),
@@ -57,16 +53,7 @@ ALERT_SCHEMAS: dict[str, TableSchema] = {
         description="Detection alerts: partition minute_bucket, "
                     "clustered by (ts, seq)",
     ),
-}
-
-
-def ensure_alert_tables(cluster: "Cluster") -> None:
-    """Create ``alerts_by_time`` if absent (idempotent)."""
-    for schema in ALERT_SCHEMAS.values():
-        try:
-            cluster.create_table(schema)
-        except SchemaError:
-            pass  # already provisioned
+    "minute_bucket", MINUTE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,70 +131,37 @@ class AlertPublisher:
         return self._producer.sent
 
 
-class AlertIngestor:
+class AlertIngestor(LandingIngestor):
     """Consumer side: the ``alerts`` topic into ``alerts_by_time``.
 
-    The same micro-batch shape as event and telemetry ingest: a
-    consumer group polls, records ride a sparklet
-    :class:`~repro.sparklet.streaming.StreamingContext`, one closed
-    batch becomes one ``write_batch``.  Alert timestamps are event time
-    (simulation seconds), so the logical clock needs no epoch rebasing;
-    the batch interval defaults to one minute because alerts are sparse
-    and the table is minute-bucketed anyway.
+    The same micro-batch landing loop as self-ingested telemetry: a
+    consumer group polls, records ride a sparklet micro-batch graph,
+    one closed batch becomes one ``write_batch``.  The batch interval
+    defaults to one minute because alerts are sparse and the table is
+    minute-bucketed anyway.
     """
 
     def __init__(self, bus: "MessageBus", topic: str, cluster: "Cluster",
                  sc: "SparkletContext", *, batch_interval: float = MINUTE,
                  group_id: str = "alert-ingest"):
-        from repro.bus import ConsumerGroup
-        from repro.sparklet.streaming import StreamingContext
-
-        ensure_alert_tables(cluster)
-        self.cluster = cluster
-        self.rows_written = 0
-        self._seq = itertools.count()
-        bus.ensure_topic(topic)
-        self._group = ConsumerGroup(bus, group_id, topic)
-        self._consumer = self._group.join()
-        self.ssc = StreamingContext(sc, batch_interval)
-        self._input = self.ssc.input_stream()
-        self._input.foreachRDD(self._write_batch)
-
-    def _write_batch(self, rdd) -> None:
-        from repro import obs
-
-        records = rdd.collect()
-        rows = []
-        for record in records:
-            row = {k: v for k, v in record.items() if k != "evidence"}
-            row["minute_bucket"] = int(record["ts"] // MINUTE)
-            row["seq"] = next(self._seq)
-            if record.get("evidence"):
-                row["evidence"] = json.dumps(record["evidence"],
-                                             sort_keys=True, default=str)
-            rows.append(row)
-        if rows:
-            written = self.cluster.write_batch("alerts_by_time", rows)
-            self.rows_written += written
-            obs.get_registry().counter("detect.alerts_ingested").inc(written)
-
-    def process_available(self, max_records: int = 100_000) -> int:
-        """Poll, run complete batches, commit; returns records polled."""
-        records = self._consumer.poll(max_records)
-        if not records:
-            return 0
-        latest = 0.0
-        for record in records:
-            self._input.push(record.value, record.timestamp)
-            latest = max(latest, record.timestamp)
-        self.ssc.advance_to(latest)
-        self._consumer.commit()
-        return len(records)
-
-    def flush(self) -> None:
-        """Force the open micro-batch out (freshness over batching)."""
-        self.ssc.advance(1)
+        super().__init__(bus, topic, cluster, sc, (ALERTS_BY_TIME,),
+                         batch_interval=batch_interval, group_id=group_id)
 
     @property
-    def lag(self) -> int:
-        return self._group.lag()
+    def rows_written(self) -> int:
+        return self.rows["alerts_by_time"]
+
+    def shape(self, record):
+        row = {k: v for k, v in record.items() if k != "evidence"}
+        row["seq"] = next(self._seq)
+        if record.get("evidence"):
+            row["evidence"] = json.dumps(record["evidence"],
+                                         sort_keys=True, default=str)
+        return "alerts_by_time", row
+
+    def land(self, table, rows):
+        from repro import obs
+
+        written = super().land(table, rows)
+        obs.get_registry().counter("detect.alerts_ingested").inc(written)
+        return written

@@ -277,17 +277,6 @@ class TestScatterGather:
         assert scattered == sequential
         cluster.close()
 
-    def test_scatter_counter_increments_for_multi_key_only(self):
-        cluster = make_cluster(4, rf=2)
-        insert_events(cluster, 4, hour=0)
-        insert_events(cluster, 4, hour=1)
-        before = cluster._m_scatter_gathers.value
-        cluster.select_partitions("event_by_time", [(0, "MCE")])
-        assert cluster._m_scatter_gathers.value == before
-        cluster.select_partitions("event_by_time", [(0, "MCE"), (1, "MCE")])
-        assert cluster._m_scatter_gathers.value == before + 1
-        cluster.close()
-
     def test_table_epoch_advances_on_writes(self):
         cluster = make_cluster()
         e0 = cluster.table_epoch("event_by_time")
