@@ -1,11 +1,12 @@
 """S10 — columnar blocks: vectorized scans vs the row-at-a-time path.
 
-PR 7 stores SSTable partitions column-major (``ColumnBlock``) and
-evaluates pushed-down predicates, projections, and aggregate folds one
-column at a time (``repro.cassdb.vector``), materializing row dicts only
-for the survivors.  The ``columnar=False`` escape hatch keeps the old
-row-form SSTables behind the same API, so one bench run builds both
-layouts over identical data and holds two lines:
+SSTable partitions are column-major (``ColumnBlock``): pushed-down
+predicates, projections, and aggregate folds run one column at a time
+(``repro.cassdb.vector``), materializing row dicts only for the
+survivors.  The row baseline is the same cluster without the final
+``flush_all``: every row stays in the row-form memtables, which the
+read path serves row at a time.  One bench run builds both over
+identical data and holds two lines:
 
 * **filtered scan win** — a full-partition scan with a pushed-down
   residual predicate (``source = 'n3'``, ~1/7 selectivity over a
@@ -52,8 +53,9 @@ def _best(fn, rounds=3):
     return best
 
 
-def build_cluster(hours, rows_per_hour, db_nodes=6, *, columnar=True):
-    cluster = Cluster(db_nodes, replication_factor=2, columnar=columnar)
+def build_cluster(hours, rows_per_hour, db_nodes=6, *, flush=True):
+    # The threshold keeps every row memtable-resident until flush_all.
+    cluster = Cluster(db_nodes, replication_factor=2, flush_threshold=10**9)
     session = Session(cluster)
     session.execute(
         "CREATE TABLE ev (hour int, type text, ts double, seq int,"
@@ -65,9 +67,10 @@ def build_cluster(hours, rows_per_hour, db_nodes=6, *, columnar=True):
         for i in range(rows_per_hour):
             session.engine.execute(
                 insert, (hour, "MCE", float(i), i, f"n{i % 7}", i % 100))
-    # Push everything into SSTables: the columnar layout only exists in
-    # runs, and both clusters must read from the same LSM shape.
-    cluster.flush_all()
+    # Push everything into SSTables (column blocks); without the flush
+    # the rows stay in memtables, the row-form baseline.
+    if flush:
+        cluster.flush_all()
     return cluster
 
 
@@ -80,7 +83,7 @@ def run_filtered_scan(col_cluster, row_cluster, hours,
     """Full-partition scan with a pushed-down residual predicate."""
     col, row = Session(col_cluster), Session(row_cluster)
     queries = [FILTER_QUERY.format(hour=h) for h in range(hours)]
-    for q in queries:  # parity first: the escape hatch must agree
+    for q in queries:  # parity first: both layouts must agree
         assert col.execute(q) == row.execute(q)
 
     def drive(session):
@@ -140,7 +143,7 @@ def run_all(col_cluster, row_cluster, hours, *, passes=5, rounds=3):
 def _report_all(results):
     fs, gr = results["filtered_scan"], results["grouped"]
     report("S10: columnar blocks", [
-        ("experiment", "row layout", "columnar", "note"),
+        ("experiment", "memtable rows", "columnar", "note"),
         ("filtered scan", f"{fs['row_s']:.4f}s",
          f"{fs['columnar_s']:.4f}s",
          f"{fs['speedup']:.2f}x ({fs['rows_matched']} rows kept)"),
@@ -157,8 +160,8 @@ def _report_all(results):
 
 @pytest.fixture(scope="module")
 def bench_clusters():
-    col = build_cluster(hours=4, rows_per_hour=700, columnar=True)
-    row = build_cluster(hours=4, rows_per_hour=700, columnar=False)
+    col = build_cluster(hours=4, rows_per_hour=700, flush=True)
+    row = build_cluster(hours=4, rows_per_hour=700, flush=False)
     yield col, row
     col.close()
     row.close()
@@ -194,8 +197,8 @@ def main(argv=None):
 
     hours = 6 if args.quick else 12
     rows = 2000 if args.quick else 6000
-    col_cluster = build_cluster(hours, rows, columnar=True)
-    row_cluster = build_cluster(hours, rows, columnar=False)
+    col_cluster = build_cluster(hours, rows, flush=True)
+    row_cluster = build_cluster(hours, rows, flush=False)
     try:
         results = run_all(col_cluster, row_cluster, hours,
                           passes=4 if args.quick else 8,

@@ -21,7 +21,6 @@ the locality-aware analytics (§III-A, Fig 4) depend on.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import itertools
 import random
@@ -55,11 +54,6 @@ from .vector import (
     scalar_matches,
     select_rows,
 )
-
-# Default number of write-lock stripes: enough that concurrent writers
-# to disjoint partitions rarely collide, small enough that acquiring
-# every stripe (repair) stays cheap.
-DEFAULT_WRITE_STRIPES = 32
 
 __all__ = ["Consistency", "Cluster"]
 
@@ -137,6 +131,18 @@ def _as_dicts(source: "BlockView | list[Row]", schema: TableSchema,
             for r in source]
 
 
+def _merge_copies(copies: Iterable[list[Row]]) -> dict[tuple, Row]:
+    """Reconcile replicas' copies of one partition by clustering key
+    (cell-level last-write-wins)."""
+    merged: dict[tuple, Row] = {}
+    for rows in copies:
+        for row in rows:
+            existing = merged.get(row.clustering)
+            merged[row.clustering] = (
+                row if existing is None else merge_rows(existing, row))
+    return merged
+
+
 def _now_us() -> int:
     return time.time_ns() // 1_000
 
@@ -153,9 +159,7 @@ class Cluster:
         keyspace: str = "logs",
         flush_threshold: int = 50_000,
         max_sstables: int = 8,
-        write_stripes: int = DEFAULT_WRITE_STRIPES,
         retry_policy: RetryPolicy | None = None,
-        columnar: bool = True,
     ):
         if isinstance(node_ids, int):
             node_ids = [f"node{i:02d}" for i in range(node_ids)]
@@ -166,29 +170,23 @@ class Cluster:
         self.ring = HashRing(
             node_ids, vnodes=vnodes, replication_factor=replication_factor
         )
-        # columnar=False is the row-at-a-time escape hatch: every store
-        # keeps plain row lists, so one bench run can compare layouts.
-        self.columnar = columnar
         self.nodes: dict[str, StorageNode] = {
             nid: StorageNode(
                 nid, flush_threshold=flush_threshold,
-                max_sstables=max_sstables, columnar=columnar,
+                max_sstables=max_sstables,
                 hints_provider=self._block_hints_for,
             )
             for nid in node_ids
         }
         self._write_ts = itertools.count(_now_us())
-        # Write-path coordination is *striped*: each (table, partition)
-        # hashes to one of ``write_stripes`` locks, so writers to
-        # disjoint partitions commit concurrently while replica-set
-        # application + hint buffering stays atomic per partition.  The
-        # *read* path runs lock-free at this layer — each TableStore
-        # snapshots its runs under its own lock.  Repair acquires every
-        # stripe (in index order, as does the batched group path, so
-        # lock ordering is total and deadlock-free).
-        self._write_locks = tuple(
-            threading.RLock() for _ in range(max(1, write_stripes))
-        )
+        # One coordinator write lock: each replica-set group commit
+        # (availability check, replica application, hint buffering) and
+        # anti-entropy repair run under it.  Pure-Python writes are
+        # GIL-bound, so per-partition lock striping measured no faster
+        # (docs/performance.md §5).  The *read* path runs lock-free at
+        # this layer — each TableStore snapshots its runs under its own
+        # lock.
+        self._write_lock = threading.RLock()
         # Aggregate coordinator counters (S1 bench reads these).
         self.coordinator_writes = 0
         self.coordinator_reads = 0
@@ -337,12 +335,27 @@ class Cluster:
         for peer_id, peer in self.nodes.items():
             if peer is node or not peer.up:
                 continue
-            for hint in peer.drain_hints_for(node_id):
-                node.write(hint.table, hint.partition_key, hint.row)
-                self._m_hints_replayed.inc()
-            for hint in node.drain_hints_for(peer_id):
-                peer.write(hint.table, hint.partition_key, hint.row)
-                self._m_hints_replayed.inc()
+            self._replay_hints(peer, node)
+            self._replay_hints(node, peer)
+
+    def _replay_hints(self, holder: StorageNode, target: StorageNode
+                      ) -> None:
+        """Apply the hints *holder* buffered for *target*, one
+        ``write_rows`` per table (cell timestamps decide last-write-wins,
+        so order is free).  A target whose process is down keeps its
+        hints buffered."""
+        hints = list(holder.drain_hints_for(target.node_id))
+        by_table: dict[str, list[tuple[str, Row]]] = {}
+        for hint in hints:
+            by_table.setdefault(hint.table, []).append(
+                (hint.partition_key, hint.row))
+        try:
+            for table, items in by_table.items():
+                target.write_rows(table, items)
+                self._m_hints_replayed.inc(len(items))
+        except NodeDownError:
+            holder.buffer_hints(hints)
+            raise
 
     def _replica_up(self, node_id: str) -> bool:
         """Routing liveness as the coordinator sees it, including any
@@ -402,15 +415,14 @@ class Cluster:
         table: str,
         values: Mapping[str, Any],
         consistency: Consistency = Consistency.ONE,
-        write_ts: int | None = None,
     ) -> None:
-        """Insert/upsert one row (CQL ``INSERT`` semantics: always upsert)."""
-        schema = self.schema(table)
+        """Insert/upsert one row (CQL ``INSERT`` semantics: always upsert);
+        a one-row :meth:`write_batch`."""
         # Key columns are stored positionally (in the partition key string
         # and clustering tuple); only regular columns become cells.
-        ts = self.next_write_ts() if write_ts is None else write_ts
-        pk, row = schema.row_builder(values, ts)
-        self._replicated_write(table, pk, row, consistency)
+        build = self.schema(table).row_builder
+        self._commit(table, (build(values, self.next_write_ts()),),
+                     consistency)
 
     def insert_many(
         self,
@@ -432,27 +444,13 @@ class Cluster:
         values: Mapping[str, Any],
         consistency: Consistency = Consistency.ONE,
     ) -> None:
-        """Delete one row identified by its full primary key."""
+        """Delete one row identified by its full primary key: a tombstone
+        row committed like any other write."""
         schema = self.schema(table)
-        pk = schema.partition_key_of(values)
-        clustering = schema.clustering_of(values)
-        ts = self.next_write_ts()
-        marker = Row(clustering=clustering, cells={}, tombstone_ts=ts)
-        self._replicated_write(table, pk, marker, consistency)
-
-    # -- write-lock striping -------------------------------------------------
-
-    def _stripe_index(self, partition_key: str) -> int:
-        # The ring key folds the table name in, so this stripes by
-        # (table, partition) as the batched-commit design requires.
-        return hash(partition_key) % len(self._write_locks)
-
-    def _all_write_locks(self) -> contextlib.ExitStack:
-        """Acquire every stripe in index order (repair's full barrier)."""
-        stack = contextlib.ExitStack()
-        for lock in self._write_locks:
-            stack.enter_context(lock)
-        return stack
+        marker = Row(clustering=schema.clustering_of(values), cells={},
+                     tombstone_ts=self.next_write_ts())
+        self._commit(table, ((schema.partition_key_of(values), marker),),
+                     consistency)
 
     def _bump_epoch(self, table: str) -> None:
         with self._epoch_lock:
@@ -499,69 +497,7 @@ class Cluster:
                     time.sleep(delay_ms / 1000.0)
                 attempt += 1
 
-    def _replicated_write(
-        self, table: str, partition_key: str, row: Row, consistency: Consistency
-    ) -> None:
-        start = time.perf_counter()
-        with obs.get_tracer().span(
-            "cassdb.write", table=table, partition=partition_key
-        ):
-            def attempt() -> None:
-                gate = self.chaos_gate
-                if gate is not None:
-                    gate.on_coordinator_op(self)
-                with self._write_locks[self._stripe_index(partition_key)]:
-                    self._replicated_write_locked(
-                        table, partition_key, row, consistency)
-
-            self._retrying("write", attempt)
-        self._m_write_latency.observe((time.perf_counter() - start) * 1000.0)
-
-    def _replicated_write_locked(
-        self, table: str, partition_key: str, row: Row, consistency: Consistency
-    ) -> None:
-        replicas = self.ring.replicas(partition_key)
-        required = consistency.required(len(replicas))
-        alive = [r for r in replicas if self._replica_up(r)]
-        if len(alive) < required:
-            # Nothing was applied: counters, the table epoch and the
-            # layered result caches must stay untouched.
-            self._m_consistency_failures.inc()
-            raise UnavailableError(required, len(alive))
-        coordinator = self.nodes[alive[0]]
-        acks = 0
-        for replica_id in replicas:
-            replica = self.nodes[replica_id]
-            if self._replica_up(replica_id):
-                try:
-                    replica.write(table, partition_key, row)
-                except NodeDownError:
-                    # Crashed but not yet convicted: no ack, hint it.
-                    self._breaker_failure(replica_id)
-                else:
-                    self._breaker_success(replica_id)
-                    acks += 1
-                    continue
-            coordinator.buffer_hint(
-                Hint(replica_id, table, partition_key, row)
-            )
-            with self._counter_lock:
-                self.hinted_writes += 1
-            self._m_hints_buffered.inc()
-        if acks < required:
-            # Some replicas may have applied the row: the epoch must
-            # advance so layered caches drop what is now stale — but the
-            # success counters stay untouched.
-            self._m_consistency_failures.inc()
-            if acks:
-                self._bump_epoch(table)
-            raise WriteTimeoutError(required, acks)
-        with self._counter_lock:
-            self.coordinator_writes += 1
-        self._m_writes.inc()
-        self._bump_epoch(table)
-
-    # -- batched write path --------------------------------------------------
+    # -- group commit ----------------------------------------------------------
 
     def write_batch(
         self,
@@ -577,9 +513,9 @@ class Cluster:
         * keys are extracted by the schema's precompiled
           :attr:`~repro.cassdb.schema.TableSchema.row_extractor`;
         * rows are grouped by replica set, each group sorted by
-          partition key and applied with **one** stripe-lock
-          acquisition, one ``TableStore`` lock per replica, and one
-          hint-buffer extend per down replica;
+          partition key and applied with **one** acquisition of the
+          coordinator write lock, one ``TableStore`` lock per replica,
+          and one hint-buffer extend per down replica;
         * the table epoch is bumped **once** for the whole batch (the
           server's result cache sees one invalidation, not one per row);
         * one ``cassdb.write_batch`` trace span and one set of
@@ -591,56 +527,60 @@ class Cluster:
         groups stay applied — and the epoch still advances so caches
         never serve the partial batch as fresh.
         """
-        schema = self.schema(table)
-        build = schema.row_builder
+        build = self.schema(table).row_builder
         next_ts = self.next_write_ts
-        n_stripes = len(self._write_locks)
-        # replica-set tuple -> (items, stripe indices touched).  Per-pk
-        # routing (ring lookup + stripe hash) runs once per *distinct*
-        # partition; ``items_of`` jumps straight from pk to the group's
-        # item list for every later row of that partition.
-        groups: dict[tuple[str, ...], tuple[list[tuple[str, Row]], set[int]]] = {}
-        items_of: dict[str, list[tuple[str, Row]]] = {}
+        return self._commit(
+            table, (build(values, next_ts()) for values in rows), consistency)
+
+    def _commit(
+        self,
+        table: str,
+        items: Iterable[tuple[str, Row]],
+        consistency: Consistency,
+    ) -> int:
+        """The one coordinator write path: group ``(partition key, row)``
+        items by replica set and commit group by group (see
+        :meth:`write_batch`); returns the number of items."""
+        # replica-set tuple -> items.  The ring lookup runs once per
+        # *distinct* partition; ``group_of`` jumps straight from pk to
+        # the group's item list for every later row of that partition.
+        groups: dict[tuple[str, ...], list[tuple[str, Row]]] = {}
+        group_of: dict[str, list[tuple[str, Row]]] = {}
         n = 0
-        for values in rows:
-            pk, row = build(values, next_ts())
-            items = items_of.get(pk)
-            if items is None:
+        for item in items:
+            pk = item[0]
+            group = group_of.get(pk)
+            if group is None:
                 replicas = tuple(self.ring.replicas(pk))
-                entry = groups.get(replicas)
-                if entry is None:
-                    entry = groups[replicas] = ([], set())
-                entry[1].add(hash(pk) % n_stripes)
-                items = items_of[pk] = entry[0]
-            items.append((pk, row))
+                group = groups.get(replicas)
+                if group is None:
+                    group = groups[replicas] = []
+                group_of[pk] = group
+            group.append(item)
             n += 1
         if not n:
             return 0
         start = time.perf_counter()
         applied = 0
-        gate = self.chaos_gate
-        if gate is not None:
-            gate.on_coordinator_op(self)
         try:
             with obs.get_tracer().span(
                 "cassdb.write_batch", table=table, rows=n, groups=len(groups)
             ):
-                for replicas, (items, stripes) in groups.items():
-                    ordered = sorted(stripes)
+                for replicas, group in groups.items():
                     try:
                         self._retrying("write", lambda: self._write_group(
-                            table, replicas, items, ordered, consistency))
+                            table, replicas, group, consistency))
                     except UnavailableError as exc:
                         raise BatchUnavailableError(
                             exc.required, exc.alive, table=table,
-                            group=replicas, group_rows=len(items),
+                            group=replicas, group_rows=len(group),
                             applied_rows=applied) from exc
                     except WriteTimeoutError as exc:
                         raise BatchWriteTimeoutError(
                             exc.required, exc.received, table=table,
-                            group=replicas, group_rows=len(items),
+                            group=replicas, group_rows=len(group),
                             applied_rows=applied) from exc
-                    applied += len(items)
+                    applied += len(group)
         finally:
             if applied:
                 with self._counter_lock:
@@ -659,15 +599,10 @@ class Cluster:
         table: str,
         replica_ids: tuple[str, ...],
         items: list[tuple[str, Row]],
-        stripes: list[int],
         consistency: Consistency,
     ) -> None:
-        """Commit one replica-set group of a batch atomically.
-
-        *stripes* is the sorted set of stripe indices the group's
-        partitions hash to (precomputed while grouping); acquiring them
-        in index order keeps lock ordering total across concurrent
-        batches, per-row writes and repair.
+        """Commit one replica-set group of a batch atomically, under the
+        coordinator write lock.  Each attempt ticks the chaos clock once.
         """
         gate = self.chaos_gate
         if gate is not None:
@@ -677,9 +612,7 @@ class Cluster:
         # (memtable bulk-upsert locality); write timestamps, not
         # application order, decide last-write-wins, so this is safe.
         items.sort(key=itemgetter(0))
-        with contextlib.ExitStack() as stack:
-            for idx in stripes:
-                stack.enter_context(self._write_locks[idx])
+        with self._write_lock:
             alive = [r for r in replica_ids if self._replica_up(r)]
             if len(alive) < required:
                 self._m_consistency_failures.inc()
@@ -956,27 +889,24 @@ class Cluster:
         if len(responses) == 1:
             rows = next(iter(responses.values()))
             return [r for r in rows if r.is_live]
-        merged: dict[tuple, Row] = {}
-        for rows in responses.values():
-            for row in rows:
-                existing = merged.get(row.clustering)
-                merged[row.clustering] = (
-                    row if existing is None else merge_rows(existing, row)
-                )
-        # Read repair: push the reconciled row back to replicas that
-        # returned a stale or missing copy.
+        merged = _merge_copies(responses.values())
+        # Read repair: push the reconciled rows back to replicas that
+        # returned a stale or missing copy, one write per replica.
         for replica_id, rows in responses.items():
             have = {r.clustering: r for r in rows}
-            for clustering, row in merged.items():
-                stale = have.get(clustering)
-                if stale is None or stale.cells != row.cells:
-                    try:
-                        self.nodes[replica_id].write(table, partition_key, row)
-                    except NodeDownError:
-                        continue  # crashed after answering; repair later
-                    with self._counter_lock:
-                        self.read_repairs += 1
-                    self._m_read_repairs.inc()
+            stale = [(partition_key, row)
+                     for clustering, row in merged.items()
+                     if (mine := have.get(clustering)) is None
+                     or mine.cells != row.cells]
+            if not stale:
+                continue
+            try:
+                self.nodes[replica_id].write_rows(table, stale)
+            except NodeDownError:
+                continue  # crashed after answering; repair later
+            with self._counter_lock:
+                self.read_repairs += len(stale)
+            self._m_read_repairs.inc(len(stale))
         return [r for r in merged.values() if r.is_live]
 
     # -- full scans & placement introspection ---------------------------------
@@ -1096,8 +1026,10 @@ class Cluster:
         Unlike read repair this covers data nobody has queried —
         Cassandra's ``nodetool repair``.
         """
-        with self._all_write_locks():
+        with self._write_lock:
             repaired = 0
+            # replica -> rows to write back, applied once per replica.
+            pending: dict[str, list[tuple[str, Row]]] = {}
             for pk in sorted(self.partition_keys(table)):
                 replicas = [
                     rid for rid in self.ring.replicas(pk)
@@ -1115,23 +1047,18 @@ class Cluster:
                 }
                 if len(set(digests.values())) == 1:
                     continue
-                merged: dict[tuple, Row] = {}
-                for rows in copies.values():
-                    for row in rows:
-                        existing = merged.get(row.clustering)
-                        merged[row.clustering] = (
-                            row if existing is None
-                            else merge_rows(existing, row)
-                        )
+                merged = _merge_copies(copies.values())
                 for rid in replicas:
                     have = {r.clustering: r for r in copies[rid]}
-                    node = self.nodes[rid]
-                    for clustering, row in merged.items():
-                        mine = have.get(clustering)
-                        if mine is None or self._partition_digest(
-                                [mine]) != self._partition_digest([row]):
-                            node.write(table, pk, row)
+                    pending.setdefault(rid, []).extend(
+                        (pk, row) for clustering, row in merged.items()
+                        if (mine := have.get(clustering)) is None
+                        or self._partition_digest([mine])
+                        != self._partition_digest([row]))
                 repaired += 1
+            for rid, items in pending.items():
+                if items:
+                    self.nodes[rid].write_rows(table, items)
             return repaired
 
     def flush_all(self) -> None:

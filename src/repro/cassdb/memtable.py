@@ -45,14 +45,8 @@ class MemPartition:
     def delete(self, clustering: tuple, tombstone_ts: int) -> int:
         """Write a row tombstone (deletes survive flush/merge); returns
         the row-count delta (0 or 1 — tombstones are buffered rows)."""
-        marker = Row(clustering=clustering, cells={}, tombstone_ts=tombstone_ts)
-        existing = self.rows.get(clustering)
-        if existing is None:
-            self.rows[clustering] = marker
-            self._dirty = True
-            return 1
-        self.rows[clustering] = merge_rows(existing, marker)
-        return 0
+        return self.upsert(
+            Row(clustering=clustering, cells={}, tombstone_ts=tombstone_ts))
 
     def sorted_keys(self) -> list[tuple]:
         if self._dirty or len(self._sorted_keys) != len(self.rows):

@@ -56,14 +56,13 @@ class StorageNode:
     """
 
     def __init__(self, node_id: str, *, flush_threshold: int = 50_000,
-                 max_sstables: int = 8, columnar: bool = True,
+                 max_sstables: int = 8,
                  hints_provider: "Callable[[str], BlockHints | None] | None" = None):
         self.node_id = node_id
         self.process_up = True
         self.routing_up = True
         self._flush_threshold = flush_threshold
         self._max_sstables = max_sstables
-        self._columnar = columnar
         # Maps table name -> BlockHints (index interval, dictionary
         # columns) at store creation; the cluster wires this to the
         # keyspace so schema knobs reach the storage layer.
@@ -118,7 +117,6 @@ class StorageNode:
             store = self.tables[table] = TableStore(
                 flush_threshold=self._flush_threshold,
                 max_sstables=self._max_sstables,
-                columnar=self._columnar,
                 hints=hints,
             )
             store.flush_hook = self._flush_hook
@@ -136,26 +134,16 @@ class StorageNode:
 
     # -- replica-local operations -----------------------------------------
 
-    def write(self, table: str, partition_key: str, row: Row) -> None:
-        self._check_up()
-        _M_NODE_WRITES.inc()
-        with obs.get_tracer().span("cassdb.node.write", node=self.node_id,
-                                   table=table):
-            self.ensure_table(table).write(partition_key, row)
-
     def write_rows(self, table: str, items: Sequence[tuple[str, Row]]) -> None:
-        """Apply a write-batch group: one table lookup, one store-lock
-        acquisition and one trace span for the whole group."""
+        """The replica write entry: apply ``(partition key, row)`` pairs
+        with one table lookup, one store-lock acquisition and one trace
+        span for the whole group (coordinator groups, hint replay, read
+        repair and anti-entropy repair all land here)."""
         self._check_up()
         _M_NODE_WRITES.inc(len(items))
         with obs.get_tracer().span("cassdb.node.write_rows", node=self.node_id,
                                    table=table, rows=len(items)):
             self.ensure_table(table).write_rows(items)
-
-    def delete(self, table: str, partition_key: str, clustering: tuple,
-               tombstone_ts: int) -> None:
-        self._check_up()
-        self.ensure_table(table).delete(partition_key, clustering, tombstone_ts)
 
     def read_partition(
         self,
@@ -188,8 +176,8 @@ class StorageNode:
         limit: int | None = None,
     ) -> "BlockView | list[Row]":
         """:meth:`read_partition` without forced row materialization —
-        a :class:`BlockView` when the partition lives in one columnar
-        run, a merged row list otherwise."""
+        a :class:`BlockView` when the partition lives in one SSTable, a
+        merged row list otherwise."""
         self._check_up()
         _M_NODE_READS.inc()
         store = self.tables.get(table)
@@ -209,9 +197,6 @@ class StorageNode:
         return store.partition_keys() if store else set()
 
     # -- hinted handoff ----------------------------------------------------
-
-    def buffer_hint(self, hint: Hint) -> None:
-        self.hints.append(hint)
 
     def buffer_hints(self, hints: Iterable[Hint]) -> None:
         """Buffer a write-batch group's hints for one down replica."""

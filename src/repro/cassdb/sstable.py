@@ -6,16 +6,14 @@ absent partitions return without touching the data ("data is retrieved
 by row key and range within a row, which guarantees a fast and efficient
 search" — paper §II-A).
 
-Since the columnar rewrite, each partition is physically a
+Each partition is physically a
 :class:`~repro.cassdb.vector.ColumnBlock` — per-column value arrays,
 dictionary-encoded low-cardinality strings, a liveness bitmap — and the
 sparse clustering index maps straight onto block offsets.  Scans hand
 out :class:`~repro.cassdb.vector.BlockView` selections that the
 vectorized kernels filter/project/fold without building ``Row`` objects;
-:attr:`SSTable.partitions` stays a mapping-of-row-lists view (lazily
-materialized) so compaction, repair, and tests keep their row-form
-contract.  ``columnar=False`` is the escape hatch: the same API over
-plain row lists, kept for benchmarks comparing the two layouts.
+compaction and repair read a block back as rows with
+:meth:`~repro.cassdb.vector.ColumnBlock.rows`.
 
 SSTables here live in memory (the cluster is simulated in-process) but
 preserve the two properties the rest of the system depends on:
@@ -28,7 +26,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from collections.abc import MutableMapping
 from typing import Iterable, Iterator
 
 from repro import obs
@@ -39,7 +36,6 @@ from .row import ClusteringBound, Row, merge_rows
 from .vector import BlockHints, BlockView, ColumnBlock, merge_views
 
 __all__ = [
-    "COLUMNAR_DEFAULT",
     "INDEX_INTERVAL",
     "SSTable",
     "merge_row_slices",
@@ -58,9 +54,6 @@ _generation_counter = itertools.count(1)
 # via BlockHints); this module constant is only the fallback default.
 INDEX_INTERVAL = 64
 
-# New SSTables are columnar unless the store says otherwise.
-COLUMNAR_DEFAULT = True
-
 _CLUSTERING = operator.attrgetter("clustering")
 
 # Same counter the store layer bumps: every bloom-filter rejection that
@@ -68,53 +61,17 @@ _CLUSTERING = operator.attrgetter("clustering")
 _M_BLOOM_SKIPS = obs.get_registry().counter("cassdb.store.bloom_skips")
 
 
-class _BlockPartitions(MutableMapping):
-    """Row-form mapping view over columnar partitions.
-
-    ``partitions[pk]`` lazily materializes (and block-caches) the row
-    list; deleting a key drops the underlying block, so simulated data
-    loss (tests, fault injection) is visible to the vectorized read path
-    too.  Assignment re-encodes the rows into a fresh block.
-    """
-
-    __slots__ = ("_blocks", "_hints")
-
-    def __init__(self, blocks: dict[str, ColumnBlock],
-                 hints: BlockHints | None):
-        self._blocks = blocks
-        self._hints = hints
-
-    def __getitem__(self, pk: str) -> list[Row]:
-        return self._blocks[pk].rows()
-
-    def __setitem__(self, pk: str, rows: list[Row]) -> None:
-        self._blocks[pk] = ColumnBlock.from_rows(rows, hints=self._hints)
-
-    def __delitem__(self, pk: str) -> None:
-        del self._blocks[pk]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._blocks)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-
 class SSTable:
     """One immutable sorted run of a table's data on one node."""
 
     def __init__(self, partitions: dict[str, list[Row]],
                  generation: int | None = None, *,
-                 columnar: bool | None = None,
                  hints: BlockHints | None = None,
                  clusterings: dict[str, list[tuple]] | None = None):
         # Rows per partition must already be sorted by clustering key.
         # *clusterings* optionally passes pre-extracted clustering-key
         # lists (the memtable already has them) so block builds skip
         # one pass over the rows.
-        if columnar is None:
-            columnar = COLUMNAR_DEFAULT
-        self.columnar = columnar
         self.hints = hints
         self.index_interval = (
             hints.index_interval if hints is not None else INDEX_INTERVAL)
@@ -123,38 +80,24 @@ class SSTable:
             generation if generation is not None else next(_generation_counter)
         )
         self.bloom = BloomFilter.from_keys(partitions.keys())
-        # Sparse clustering index: every index_interval-th clustering key
-        # per partition (only for partitions big enough to benefit).  The
-        # role index blocks play in Cassandra's -Index.db component; for
-        # columnar blocks the samples are offsets into the key array.
-        if columnar:
-            blocks: dict[str, ColumnBlock] = {}
-            for pk, rows in partitions.items():
-                keys = clusterings.get(pk) if clusterings else None
-                blocks[pk] = ColumnBlock.from_rows(rows, hints=hints,
-                                                   clustering=keys)
-            self._blocks = blocks
-            self.partitions: MutableMapping[str, list[Row]] = (
-                _BlockPartitions(blocks, hints))
-            self.row_count = sum(b.n for b in blocks.values())
-            self.index: dict[str, list[tuple]] = {
-                pk: block.clustering[::interval]
-                for pk, block in blocks.items() if block.n > interval
-            }
-        else:
-            self._blocks = None
-            self.partitions = partitions
-            self.row_count = sum(len(rows) for rows in partitions.values())
-            self.index = {
-                pk: [rows[i].clustering
-                     for i in range(0, len(rows), interval)]
-                for pk, rows in partitions.items()
-                if len(rows) > interval
-            }
+        self.blocks: dict[str, ColumnBlock] = {
+            pk: ColumnBlock.from_rows(
+                rows, hints=hints,
+                clustering=clusterings.get(pk) if clusterings else None)
+            for pk, rows in partitions.items()
+        }
+        self.row_count = sum(b.n for b in self.blocks.values())
+        # Sparse clustering index: every index_interval-th key of each
+        # block's clustering array (only for partitions big enough to
+        # benefit) — the role index blocks play in Cassandra's -Index.db
+        # component.
+        self.index: dict[str, list[tuple]] = {
+            pk: block.clustering[::interval]
+            for pk, block in self.blocks.items() if block.n > interval
+        }
 
     @classmethod
     def from_memtable(cls, memtable: Memtable, *,
-                      columnar: bool | None = None,
                       hints: BlockHints | None = None) -> "SSTable":
         parts: dict[str, list[Row]] = {}
         clusterings: dict[str, list[tuple]] = {}
@@ -162,8 +105,7 @@ class SSTable:
             keys, rows = partition.sorted_items()
             parts[pk] = rows
             clusterings[pk] = keys
-        return cls(parts, columnar=columnar, hints=hints,
-                   clusterings=clusterings)
+        return cls(parts, hints=hints, clusterings=clusterings)
 
     def maybe_contains(self, partition_key: str) -> bool:
         """Bloom-filter check; False means *definitely* absent."""
@@ -179,64 +121,34 @@ class SSTable:
     def get_partition(self, partition_key: str) -> list[Row] | None:
         if not self._bloom_admits(partition_key):
             return None
-        if self._blocks is not None:
-            block = self._blocks.get(partition_key)
-            return None if block is None else block.rows()
-        return self.partitions.get(partition_key)
-
-    def slice_partition(
-        self,
-        partition_key: str,
-        lower: ClusteringBound | None = None,
-        upper: ClusteringBound | None = None,
-    ) -> tuple[list[Row], int] | None:
-        """The in-bounds slice of a partition plus the pruned-row count.
-
-        Bloom-checked, then bisected into the run via the sparse
-        clustering index, so only the in-range rows are ever copied out;
-        ``None`` when the partition is absent from this run.
-        """
-        sliced = self.slice_partition_view(partition_key, lower, upper)
-        if sliced is None:
-            return None
-        source, pruned = sliced
-        if isinstance(source, BlockView):
-            return source.to_rows(), pruned
-        return source, pruned
+        block = self.blocks.get(partition_key)
+        return None if block is None else block.rows()
 
     def slice_partition_view(
         self,
         partition_key: str,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
-    ) -> tuple[BlockView | list[Row], int] | None:
-        """Like :meth:`slice_partition` but without materializing rows:
-        columnar runs return a :class:`BlockView` over the in-bounds
-        offset range (row-form runs still return the list slice)."""
+    ) -> tuple[BlockView, int] | None:
+        """The in-bounds slice of a partition plus the pruned-row count.
+
+        Bloom-checked, then bisected into the block via the sparse
+        clustering index; the slice is a :class:`BlockView` over the
+        in-bounds offset range, so no row is materialized.  ``None``
+        when the partition is absent from this run.
+        """
         if not self._bloom_admits(partition_key):
             return None
-        if self._blocks is not None:
-            block = self._blocks.get(partition_key)
-            if block is None:
-                return None
-            lo, hi = slice_bounds_keys(block.clustering, lower, upper,
-                                       samples=self.index.get(partition_key),
-                                       interval=self.index_interval)
-            return BlockView(block, range(lo, hi)), block.n - (hi - lo)
-        rows = self.partitions.get(partition_key)
-        if rows is None:
+        block = self.blocks.get(partition_key)
+        if block is None:
             return None
-        lo, hi = slice_bounds(rows, lower, upper,
-                              samples=self.index.get(partition_key),
-                              interval=self.index_interval)
-        return rows[lo:hi], len(rows) - (hi - lo)
-
-    def block(self, partition_key: str) -> ColumnBlock | None:
-        """The raw column block for a partition (None in row mode)."""
-        return None if self._blocks is None else self._blocks.get(partition_key)
+        lo, hi = slice_bounds_keys(block.clustering, lower, upper,
+                                   samples=self.index.get(partition_key),
+                                   interval=self.index_interval)
+        return BlockView(block, range(lo, hi)), block.n - (hi - lo)
 
     def partition_keys(self) -> Iterator[str]:
-        return iter(self.partitions)
+        return iter(self.blocks)
 
     def __len__(self) -> int:
         return self.row_count
@@ -395,7 +307,6 @@ def _merge_sorted_rows(row_lists: list[list[Row]]) -> list[Row]:
 
 def merge_sstables(tables: Iterable[SSTable],
                    drop_tombstones: bool = True, *,
-                   columnar: bool | None = None,
                    hints: BlockHints | None = None) -> SSTable:
     """Compaction: merge several runs into one, reconciling duplicates.
 
@@ -406,24 +317,21 @@ def merge_sstables(tables: Iterable[SSTable],
 
     The output is built in sorted partition-key order, so the merged
     run's partition iteration order (``partition_keys()``, full scans)
-    is deterministic whatever order the inputs arrived in.  Layout and
-    hints are inherited from the inputs unless overridden.
+    is deterministic whatever order the inputs arrived in.  Hints are
+    inherited from the inputs unless overridden.
     """
     tables = list(tables)
-    if columnar is None:
-        columnar = (any(t.columnar for t in tables) if tables
-                    else COLUMNAR_DEFAULT)
     if hints is None:
         hints = next((t.hints for t in tables if t.hints is not None), None)
     all_keys: set[str] = set()
     for t in tables:
-        all_keys.update(t.partitions.keys())
+        all_keys.update(t.blocks)
     out: dict[str, list[Row]] = {}
     for pk in sorted(all_keys):
-        lists = [t.partitions[pk] for t in tables if pk in t.partitions]
-        rows = _merge_sorted_rows(lists)
+        rows = _merge_sorted_rows(
+            [t.blocks[pk].rows() for t in tables if pk in t.blocks])
         if drop_tombstones:
             rows = [r for r in rows if r.is_live]
         if rows:
             out[pk] = rows
-    return SSTable(out, columnar=columnar, hints=hints)
+    return SSTable(out, hints=hints)

@@ -18,18 +18,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 
 from .memtable import Memtable
 from .row import ClusteringBound, Row
-from .sstable import (
-    COLUMNAR_DEFAULT,
-    SSTable,
-    merge_sstables,
-    slice_bounds,
-)
+from .sstable import SSTable, merge_sstables, slice_bounds
 from .vector import BlockHints, BlockView, merge_views
 
 __all__ = ["StoreStats", "TableStore"]
@@ -73,11 +68,8 @@ class TableStore:
 
     flush_threshold: int = 50_000
     max_sstables: int = 8
-    # Columnar layout knobs: SSTables built by this store are column
-    # blocks unless *columnar* is off (the row-at-a-time escape hatch
-    # the S10 bench compares against); *hints* carries the table
-    # schema's index_interval / dictionary-encoding hints.
-    columnar: bool = COLUMNAR_DEFAULT
+    # The table schema's index_interval / dictionary-encoding hints for
+    # the column blocks this store's SSTables are built from.
     hints: BlockHints | None = None
     memtable: Memtable = field(default_factory=Memtable)
     # Sealed memtables whose SSTable build is in flight; readers treat
@@ -97,32 +89,20 @@ class TableStore:
     # -- write path -----------------------------------------------------
 
     def write(self, partition_key: str, row: Row) -> None:
-        with self.lock:
-            self.memtable.upsert(partition_key, row)
-            self.stats.writes += 1
-            sealed = self._maybe_seal_locked()
-        if sealed is not None:
-            self._build_sstable(sealed)
+        self.write_rows(((partition_key, row),))
 
     def write_rows(self, items: Sequence[tuple[str, Row]]) -> None:
-        """Apply a write-batch group: one lock acquisition for all rows.
+        """Apply a group of ``(partition key, row)`` pairs under one lock
+        acquisition; tombstones are rows with a deletion marker.
 
-        The batched coordinator path lands here — the store lock is
-        taken once per group instead of once per row, and the flush
-        check runs once after the group (the memtable may overshoot the
-        threshold by up to one group; the next group flushes it).
+        Every replica write lands here — the store lock is taken once per
+        group instead of once per row, and the flush check runs once
+        after the group (the memtable may overshoot the threshold by up
+        to one group; the next group flushes it).
         """
         with self.lock:
             self.memtable.upsert_many(items)
             self.stats.writes += len(items)
-            sealed = self._maybe_seal_locked()
-        if sealed is not None:
-            self._build_sstable(sealed)
-
-    def delete(self, partition_key: str, clustering: tuple, tombstone_ts: int) -> None:
-        with self.lock:
-            self.memtable.delete(partition_key, clustering, tombstone_ts)
-            self.stats.writes += 1
             sealed = self._maybe_seal_locked()
         if sealed is not None:
             self._build_sstable(sealed)
@@ -155,13 +135,7 @@ class TableStore:
         if hook is not None:
             hook()
         with obs.get_tracer().span("cassdb.store.flush", rows=flushed_rows):
-            # Only pass non-default layout knobs: the bare call is the
-            # stable seam tests monkeypatch to throttle builds.
-            if self.hints is not None or self.columnar != COLUMNAR_DEFAULT:
-                sst = SSTable.from_memtable(sealed, columnar=self.columnar,
-                                            hints=self.hints)
-            else:
-                sst = SSTable.from_memtable(sealed)
+            sst = SSTable.from_memtable(sealed, hints=self.hints)
         with self.lock:
             self.frozen.remove(sealed)
             self.sstables.append(sst)
@@ -190,8 +164,7 @@ class TableStore:
         if len(runs) <= 1:
             return
         with obs.get_tracer().span("cassdb.store.compact", runs=len(runs)):
-            merged = merge_sstables(runs, columnar=self.columnar,
-                                    hints=self.hints)
+            merged = merge_sstables(runs, hints=self.hints)
         with self.lock:
             if self.sstables[:len(runs)] != runs:
                 return  # lost the race to a concurrent compaction

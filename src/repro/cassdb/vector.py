@@ -254,7 +254,7 @@ class ColumnBlock:
 
     def rows(self) -> list[Row]:
         """Full materialization (cached): every row, dead ones included,
-        exactly as a row-form SSTable would store them."""
+        in clustering order."""
         if self._rows is None:
             self._rows = [self.row_at(i) for i in range(self.n)]
             _M_ROWS_MATERIALIZED.inc(self.n)

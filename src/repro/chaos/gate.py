@@ -105,9 +105,11 @@ class FaultGate:
     def on_coordinator_op(self, cluster: "Cluster") -> None:
         """Advance the logical clock and apply any due crash windows.
 
-        Called once per coordinated read/write *attempt* — retries tick
-        the clock too, which is what lets a retrying coordinator walk
-        out of a flap window deterministically.
+        Called once per coordinated read/write *attempt* (a write
+        attempt is one replica-set group of a batch, so a one-row
+        insert ticks once) — retries tick the clock too, which is what
+        lets a retrying coordinator walk out of a flap window
+        deterministically.
         """
         due: list[tuple[str, CrashWindow]] = []
         with self._lock:

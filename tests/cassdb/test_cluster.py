@@ -6,6 +6,7 @@ from repro.cassdb import (
     Cluster,
     ClusteringBound,
     Consistency,
+    NodeDownError,
     SchemaError,
     TableSchema,
     UnavailableError,
@@ -166,6 +167,41 @@ class TestFailureModes:
         rows = cluster.nodes[down].read_partition("event_by_time", pk)
         assert len(rows) == 10
 
+    def test_hint_replay_is_one_replica_write(self, monkeypatch):
+        cluster = make_cluster(4, rf=2)
+        pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
+        down = cluster.ring.replicas(pk)[1]
+        cluster.kill_node(down)
+        insert_events(cluster, 10)  # one coordinator buffers 10 hints
+        calls = []
+        real = cluster.nodes[down].write_rows
+
+        def spy(table, items):
+            calls.append((table, len(items)))
+            real(table, items)
+
+        monkeypatch.setattr(cluster.nodes[down], "write_rows", spy)
+        cluster.revive_node(down)
+        assert calls == [("event_by_time", 10)]
+
+    def test_hints_stay_buffered_while_target_process_is_down(self):
+        cluster = make_cluster(4, rf=2)
+        pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
+        holder, target = cluster.ring.replicas(pk)
+        cluster.kill_node(target)
+        insert_events(cluster, 5)  # `holder` buffers the hints
+        cluster.kill_node(holder)
+        cluster.revive_node(target)  # holder is down: nothing replayed
+        cluster.crash_node(target)  # process dies, routing still up
+        with pytest.raises(NodeDownError):
+            cluster.revive_node(holder)
+        assert len(cluster.nodes[holder].hints) == 5
+        cluster.recover_node(target)
+        cluster.revive_node(holder)
+        assert not cluster.nodes[holder].hints
+        rows = cluster.nodes[target].read_partition("event_by_time", pk)
+        assert len(rows) == 5
+
     def test_write_consistency_one_with_node_down(self):
         cluster = make_cluster(4, rf=2)
         pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
@@ -188,7 +224,7 @@ class TestFailureModes:
             "event_by_time", (0, "MCE"), consistency=Consistency.ALL
         )
         assert len(rows) == 5
-        assert cluster.read_repairs > 0
+        assert cluster.read_repairs == 5  # one per stale row
         stale_now = cluster.nodes[replicas[1]].read_partition("event_by_time", pk)
         assert len(stale_now) == 5
 

@@ -290,8 +290,10 @@ class TestMergeViews:
         assert [r.clustering[0] for r in out] == [1.0, 2.0, 3.0, 4.0]
 
 
-def _seed_session(columnar):
-    s = Session(Cluster(4, replication_factor=2, columnar=columnar))
+def _seed_session(flush):
+    # Without the flush every row stays in the (row-form) memtables: the
+    # same data in the other layout the read path serves.
+    s = Session(Cluster(4, replication_factor=2, flush_threshold=10**9))
     s.execute(
         "CREATE TABLE ev (hour int, type text, ts double, seq int,"
         " source text, amount int, PRIMARY KEY ((hour, type), ts, seq))"
@@ -302,12 +304,13 @@ def _seed_session(columnar):
         for i in range(120):
             s.execute(ins, params=(hour, "console", hour * 1000 + i * 1.0,
                                    i, f"n{i % 4}", i % 7))
-    s.cluster.flush_all()
+    if flush:
+        s.cluster.flush_all()
     return s
 
 
 class TestColumnarRowParity:
-    """The escape hatch contract: columnar=False must answer every query
+    """Column blocks and memtable rows must answer every query
     identically (the S10 bench leans on this to compare the two)."""
 
     QUERIES = [
@@ -328,11 +331,17 @@ class TestColumnarRowParity:
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_same_answers(self, query):
-        col, row = _seed_session(True), _seed_session(False)
+        col, row = _seed_session(flush=True), _seed_session(flush=False)
+        assert not any(store.memtable.row_count
+                       for node in col.cluster.nodes.values()
+                       for store in node.tables.values())
+        assert not any(store.sstables
+                       for node in row.cluster.nodes.values()
+                       for store in node.tables.values())
         assert col.execute(query) == row.execute(query)
 
     def test_delete_visible_through_columnar_read(self):
-        s = _seed_session(True)
+        s = _seed_session(flush=True)
         s.execute("DELETE FROM ev WHERE hour = 1 AND type = 'console'"
                   " AND ts = 1000 AND seq = 0")
         out = s.execute("SELECT ts FROM ev WHERE hour = 1"
@@ -346,33 +355,26 @@ class TestSSTableColumnar:
         for i in range(10):
             mt.upsert("pk", _row(float(i), type=TYPES[i]))
         sst = SSTable.from_memtable(mt)
-        assert sst.columnar
-        block = sst.block("pk")
+        block = sst.blocks["pk"]
         assert isinstance(block, ColumnBlock)
         assert block.columns["type"].codes is not None
 
-    def test_row_escape_hatch(self):
-        mt = Memtable()
-        mt.upsert("pk", _row(1.0))
-        sst = SSTable.from_memtable(mt, columnar=False)
-        assert not sst.columnar
-        assert sst.block("pk") is None
-        assert sst.slice_partition_view("pk", None, None)[0][0] == _row(1.0)
-
     def test_partition_pop_affects_columnar_reads(self):
-        # Anti-entropy repair prunes partitions via the mapping API; the
-        # delete must reach the block store, not just a row cache.
+        # Simulated data loss drops a partition's block; the vectorized
+        # read path must no longer see it.
         mt = Memtable()
         mt.upsert("pk", _row(1.0))
         sst = SSTable.from_memtable(mt)
-        sst.partitions.pop("pk", None)
+        sst.blocks.pop("pk", None)
         assert sst.slice_partition_view("pk", None, None) is None
-        assert sst.block("pk") is None
+        assert sst.get_partition("pk") is None
 
     def test_partition_setitem_reencodes(self):
         mt = Memtable()
         mt.upsert("pk", _row(1.0, v="a"))
         sst = SSTable.from_memtable(mt)
-        sst.partitions["pk"] = [_row(2.0, v="b")]
-        assert sst.block("pk").clustering == [(2.0, 0)]
-        assert sst.partitions["pk"][0].cells["v"].value == "b"
+        sst.blocks["pk"] = ColumnBlock.from_rows([_row(2.0, v="b")],
+                                                 hints=sst.hints)
+        view, pruned = sst.slice_partition_view("pk", None, None)
+        assert (view.block.clustering, pruned) == ([(2.0, 0)], 0)
+        assert sst.get_partition("pk")[0].cells["v"].value == "b"

@@ -11,10 +11,16 @@ from repro.cassdb.sstable import scan_partition
 from repro.cassdb.storage import TableStore
 
 keys = st.text(min_size=1, max_size=20)
+
 node_sets = st.lists(
     st.sampled_from([f"n{i}" for i in range(12)]),
     min_size=1, max_size=8, unique=True,
 )
+
+
+def _dead(clustering, tombstone_ts):
+    """A row tombstone: deletes reach the store as rows."""
+    return Row(clustering=clustering, cells={}, tombstone_ts=tombstone_ts)
 
 
 class TestRingProperties:
@@ -109,7 +115,7 @@ class TestStorageModel:
                 store.write("pk", Row.from_values((key,), {"v": val}, write_ts=ts))
                 model[(key,)] = val
             elif op == "delete":
-                store.delete("pk", (key,), tombstone_ts=ts)
+                store.write("pk", _dead((key,), ts))
                 model.pop((key,), None)
             elif op == "flush":
                 store.flush()

@@ -9,6 +9,11 @@ def _row(ts, seq=0, write_ts=1, **cols):
     return Row.from_values((ts, seq), cols or {"v": ts}, write_ts=write_ts)
 
 
+def _dead(clustering, tombstone_ts):
+    """A row tombstone: deletes reach the store as rows."""
+    return Row(clustering=clustering, cells={}, tombstone_ts=tombstone_ts)
+
+
 class TestWritePath:
     def test_flush_at_threshold(self):
         store = TableStore(flush_threshold=10)
@@ -86,14 +91,14 @@ class TestReadPath:
         store = TableStore(flush_threshold=2)
         store.write("pk", _row(1.0, write_ts=1))
         store.write("pk", _row(2.0, write_ts=1))
-        store.delete("pk", (1.0, 0), tombstone_ts=5)
+        store.write("pk", _dead((1.0, 0), 5))
         rows = store.read_partition("pk")
         assert [r.clustering[0] for r in rows] == [2.0]
 
     def test_delete_survives_flush_and_compaction(self):
         store = TableStore(flush_threshold=1, max_sstables=2)
         store.write("pk", _row(1.0, write_ts=1))
-        store.delete("pk", (1.0, 0), tombstone_ts=5)
+        store.write("pk", _dead((1.0, 0), 5))
         store.flush()
         store.compact()
         assert store.read_partition("pk") == []
@@ -101,7 +106,7 @@ class TestReadPath:
     def test_insert_after_delete_resurrects(self):
         store = TableStore(flush_threshold=1)
         store.write("pk", Row.from_values((1.0, 0), {"v": 1}, write_ts=1))
-        store.delete("pk", (1.0, 0), tombstone_ts=2)
+        store.write("pk", _dead((1.0, 0), 2))
         store.write("pk", Row.from_values((1.0, 0), {"v": 2}, write_ts=3))
         rows = store.read_partition("pk")
         assert len(rows) == 1
@@ -181,7 +186,7 @@ class TestBoundsPruning:
         for i in range(30):
             store.write("pk", _row(float(i), seq=i, write_ts=1))
         for i in range(0, 10, 2):
-            store.delete("pk", (float(i), i), tombstone_ts=10)
+            store.write("pk", _dead((float(i), i), 10))
         rows = store.read_partition("pk", limit=6)
         assert [r.clustering[0] for r in rows] == [1.0, 3.0, 5.0, 7.0, 9.0, 10.0]
 

@@ -1,4 +1,4 @@
-"""Batched-write semantics: grouping, hints, epochs, striping, flush.
+"""Batched-write semantics: grouping, hints, epochs, locking, flush.
 
 PR 3's write-path contract in one place:
 
@@ -8,8 +8,8 @@ PR 3's write-path contract in one place:
   invalidates correctly on that single bump;
 * a failed (Unavailable) write leaves counters, the epoch and the
   result cache untouched;
-* writers to disjoint partitions commit concurrently (striped locks,
-  no cluster-wide lock);
+* concurrent writers commit safely under the one coordinator write
+  lock;
 * a memtable flush builds its SSTable outside the store lock — readers
   see the sealed rows for the whole build, writers keep committing.
 """
@@ -221,11 +221,6 @@ class TestConcurrentDisjointWriters:
             assert len(rows) == 100
         assert cluster.table_epoch("event_by_time") == 6
 
-    def test_single_stripe_still_correct(self):
-        cluster = make_cluster(4, rf=2, write_stripes=1)
-        cluster.write_batch("event_by_time", event_rows(40))
-        assert len(cluster.select_partition("event_by_time", (0, "MCE"))) == 40
-
 
 def _row(ts, seq=0, write_ts=1, **cols):
     return Row.from_values((ts, seq), cols or {"v": ts}, write_ts=write_ts)
@@ -241,10 +236,10 @@ class TestFlushOutsideLock:
         release_build = threading.Event()
         real_build = SSTable.from_memtable
 
-        def slow_build(memtable):
+        def slow_build(memtable, **kw):
             build_started.set()
             assert release_build.wait(5.0)
-            return real_build(memtable)
+            return real_build(memtable, **kw)
 
         monkeypatch.setattr(SSTable, "from_memtable", slow_build)
         flusher = threading.Thread(target=store.flush)

@@ -103,6 +103,51 @@ class TestCrashWindows:
         cluster.close()
 
 
+class TestCoordinatorOpClock:
+    """The logical clock ticks once per coordinated write attempt: once
+    per replica-set group of a batch, once for a one-row insert/delete."""
+
+    def _armed(self):
+        cluster = Cluster(6, replication_factor=2)
+        cluster.create_table(SCHEMA)
+        return cluster, FaultGate(FaultPlan(seed=1)).arm(cluster=cluster)
+
+    def _ticks(self, gate, fn):
+        before = gate.op
+        fn()
+        return gate.op - before
+
+    def test_one_group_batch_ticks_once(self):
+        cluster, gate = self._armed()
+        with gate:
+            rows = [{"pk": "p0", "ck": i, "v": i} for i in range(5)]
+            assert self._ticks(gate, lambda: cluster.write_batch(
+                "t", rows)) == 1
+        cluster.close()
+
+    def test_n_group_batch_ticks_n_times(self):
+        cluster, gate = self._armed()
+        schema = cluster.schema("t")
+        rows = [{"pk": f"p{i}", "ck": i, "v": i} for i in range(40)]
+        groups = {tuple(cluster.ring.replicas(schema.partition_key_of(r)))
+                  for r in rows}
+        assert len(groups) > 1
+        with gate:
+            assert self._ticks(gate, lambda: cluster.write_batch(
+                "t", rows)) == len(groups)
+        cluster.close()
+
+    def test_insert_and_delete_tick_once(self):
+        cluster, gate = self._armed()
+        with gate:
+            assert self._ticks(gate, lambda: cluster.insert(
+                "t", {"pk": "p0", "ck": 0, "v": 0})) == 1
+            assert self._ticks(gate, lambda: cluster.delete_row(
+                "t", {"pk": "p0", "ck": 0})) == 1
+        assert cluster.select_partition("t", ("p0",)) == []
+        cluster.close()
+
+
 class TestBusFaults:
     def test_duplicates_are_per_publish_deterministic(self):
         g1 = FaultGate(FaultPlan(seed=4, bus=BusFaults(dup_rate=0.5)))
