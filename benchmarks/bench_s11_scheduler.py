@@ -7,15 +7,18 @@ PR 8 rebuilds sparklet's job execution on two axes:
   sharing shuffle lineage wait on the first materialization instead of
   recomputing it.  With I/O-bound tasks (here: a simulated replica
   fetch, the same device-model approach as ``remote_read_cost``) N
-  small jobs submitted together must finish ≥ 2× faster than under the
-  legacy ``serialize_jobs=True`` scheduler;
+  small jobs submitted together must finish ≥ 2× faster than the same
+  jobs run one after another on the same context;
 * **narrow-chain fusion** — adjacent ``map``/``filter``/``flatMap``
   (and keyed derivatives) compile into one generated per-partition
   loop.  A representative 5-op chain must run ≥ 1.3× faster than the
-  ``fuse_narrow=False`` layer-at-a-time baseline.
+  same five ops written as raw ``mapPartitions`` generator layers (one
+  nested generator frame and wrapper call per op, which fusion never
+  crosses).
 
 Also measured (report-only): diamond-join pipelining — both map sides
-of a join materialize in parallel — and exactly-once shuffle sharing
+of a join materialize in parallel, against each side materialized by
+its own job in turn before the join — and exactly-once shuffle sharing
 across concurrent jobs (asserted, not timed).
 
 Runs standalone for the CI bench-smoke job::
@@ -71,26 +74,23 @@ def _fetchy_job(ctx, seed, io_ms, parts=2, rows=200):
 
 def run_concurrent_jobs(*, jobs=4, io_ms=8, rounds=3):
     """N independent I/O-bound jobs: submitted together vs one at a time."""
-    serial_ctx = SparkletContext(8, serialize_jobs=True)
-    conc_ctx = SparkletContext(8)
+    ctx = SparkletContext(8)
 
-    expected = [sorted(_fetchy_job(serial_ctx, s, io_ms))
+    def one_at_a_time():
+        return [sorted(_fetchy_job(ctx, s, io_ms))
                 for s in range(1, jobs + 1)]
-    got = [sorted(_fetchy_job(conc_ctx, s, io_ms))
-           for s in range(1, jobs + 1)]
-    assert got == expected, "concurrent scheduler changed job results"
 
-    def drive(ctx):
+    def together():
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_fetchy_job, ctx, s, io_ms)
                        for s in range(1, jobs + 1)]
-            for f in futures:
-                f.result()
+            return [sorted(f.result()) for f in futures]
 
-    t_serial = _best(lambda: drive(serial_ctx), rounds)
-    t_conc = _best(lambda: drive(conc_ctx), rounds)
-    serial_ctx.stop()
-    conc_ctx.stop()
+    assert together() == one_at_a_time(), \
+        "concurrent jobs changed job results"
+    t_serial = _best(one_at_a_time, rounds)
+    t_conc = _best(together, rounds)
+    ctx.stop()
     return {
         "jobs": jobs,
         "io_ms": io_ms,
@@ -113,22 +113,53 @@ def _fusion_chain(ctx, data):
             .values())
 
 
+def _layered_chain(ctx, data):
+    """:func:`_fusion_chain` as raw ``mapPartitions`` layers, each a
+    generator over the same per-record wrapper its RDD method builds
+    around the user function.  Raw layers are fusion barriers."""
+    def inc(x):
+        return x + 1
+
+    def even(x):
+        return x % 2 == 0
+
+    def key(x):
+        return x % 16
+
+    def triple(v):
+        return v * 3
+
+    def key_by(x):          # RDD.keyBy's wrapper
+        return (key(x), x)
+
+    def map_values(kv):     # RDD.mapValues' wrapper
+        return (kv[0], triple(kv[1]))
+
+    def value(kv):          # RDD.values' wrapper
+        return kv[1]
+
+    return (ctx.parallelize(data, 4)
+            .mapPartitions(lambda it: (inc(x) for x in it))
+            .mapPartitions(lambda it: (x for x in it if even(x)))
+            .mapPartitions(lambda it: (key_by(x) for x in it))
+            .mapPartitions(lambda it: (map_values(x) for x in it))
+            .mapPartitions(lambda it: (value(x) for x in it)))
+
+
 def run_fusion(*, rows=300_000, passes=3, rounds=3):
     data = list(range(rows))
-    fused_ctx = SparkletContext(4)
-    plain_ctx = SparkletContext(4, fuse_narrow=False)
+    ctx = SparkletContext(4)
 
-    assert (_fusion_chain(fused_ctx, data).collect()
-            == _fusion_chain(plain_ctx, data).collect()), "fusion parity"
+    assert (_fusion_chain(ctx, data).collect()
+            == _layered_chain(ctx, data).collect()), "fusion parity"
 
-    def drive(ctx):
+    def drive(chain):
         for _ in range(passes):
-            _fusion_chain(ctx, data).collect()
+            chain(ctx, data).collect()
 
-    t_fused = _best(lambda: drive(fused_ctx), rounds)
-    t_plain = _best(lambda: drive(plain_ctx), rounds)
-    fused_ctx.stop()
-    plain_ctx.stop()
+    t_fused = _best(lambda: drive(_fusion_chain), rounds)
+    t_plain = _best(lambda: drive(_layered_chain), rounds)
+    ctx.stop()
     return {
         "rows": rows,
         "passes": passes,
@@ -140,7 +171,7 @@ def run_fusion(*, rows=300_000, passes=3, rounds=3):
 
 # -- experiment 3 (report-only): diamond-join stage pipelining ---------------
 
-def _diamond_join(ctx, io_ms, rows=400):
+def _diamond_sides(ctx, io_ms, rows=400):
     def slow(it):
         time.sleep(io_ms / 1000.0)
         return list(it)
@@ -148,20 +179,31 @@ def _diamond_join(ctx, io_ms, rows=400):
     base = ctx.parallelize(range(rows), 2).mapPartitions(slow)
     left = base.map(lambda x: (x % 8, x)).reduceByKey(lambda a, b: a + b, 2)
     right = base.map(lambda x: (x % 8, 1)).reduceByKey(lambda a, b: a + b, 2)
+    return left, right
+
+
+def _diamond_join(ctx, io_ms):
+    left, right = _diamond_sides(ctx, io_ms)
+    return left.join(right, 2).collect()
+
+
+def _diamond_join_one_side_at_a_time(ctx, io_ms):
+    left, right = _diamond_sides(ctx, io_ms)
+    left.count()    # each side's shuffle materialized by its own job,
+    right.count()   # then reused by the join while the RDDs live
     return left.join(right, 2).collect()
 
 
 def run_join_pipelining(*, io_ms=8, rounds=3):
     """Both map sides of a join submit concurrently instead of in
     lineage order — the schedule overlaps their simulated fetches."""
-    serial_ctx = SparkletContext(8, serialize_jobs=True)
-    conc_ctx = SparkletContext(8)
-    assert (sorted(_diamond_join(conc_ctx, io_ms))
-            == sorted(_diamond_join(serial_ctx, io_ms)))
-    t_serial = _best(lambda: _diamond_join(serial_ctx, io_ms), rounds)
-    t_conc = _best(lambda: _diamond_join(conc_ctx, io_ms), rounds)
-    serial_ctx.stop()
-    conc_ctx.stop()
+    ctx = SparkletContext(8)
+    assert (sorted(_diamond_join(ctx, io_ms))
+            == sorted(_diamond_join_one_side_at_a_time(ctx, io_ms)))
+    t_serial = _best(
+        lambda: _diamond_join_one_side_at_a_time(ctx, io_ms), rounds)
+    t_conc = _best(lambda: _diamond_join(ctx, io_ms), rounds)
+    ctx.stop()
     return {
         "io_ms": io_ms,
         "serialized_s": t_serial,

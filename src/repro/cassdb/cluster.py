@@ -447,9 +447,9 @@ class Cluster:
         """Delete one row identified by its full primary key: a tombstone
         row committed like any other write."""
         schema = self.schema(table)
-        marker = Row(clustering=schema.clustering_of(values), cells={},
-                     tombstone_ts=self.next_write_ts())
-        self._commit(table, ((schema.partition_key_of(values), marker),),
+        tombstone = Row(clustering=schema.clustering_of(values), cells={},
+                        tombstone_ts=self.next_write_ts())
+        self._commit(table, ((schema.partition_key_of(values), tombstone),),
                      consistency)
 
     def _bump_epoch(self, table: str) -> None:
@@ -897,7 +897,8 @@ class Cluster:
             stale = [(partition_key, row)
                      for clustering, row in merged.items()
                      if (mine := have.get(clustering)) is None
-                     or mine.cells != row.cells]
+                     or mine.cells != row.cells
+                     or mine.marker_ts != row.marker_ts]
             if not stale:
                 continue
             try:
@@ -1009,6 +1010,7 @@ class Cluster:
         for row in rows:
             h.update(repr(row.clustering).encode())
             h.update(repr(row.tombstone_ts).encode())
+            h.update(repr(row.marker_ts).encode())
             for name in sorted(row.cells):
                 cell = row.cells[name]
                 h.update(name.encode())

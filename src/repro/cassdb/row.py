@@ -51,6 +51,7 @@ class Row:
     clustering: tuple
     cells: dict[str, Cell] = field(default_factory=dict)
     tombstone_ts: int | None = None  # row-level deletion marker
+    marker_ts: int | None = None  # row marker of a cell-less INSERT
 
     @classmethod
     def from_values(
@@ -67,11 +68,16 @@ class Row:
 
     @property
     def is_live(self) -> bool:
-        """A row is served by reads if it has cells newer than any
-        tombstone (after :func:`merge_rows`, surviving cells are exactly
-        those) or was never deleted.  A later INSERT therefore resurrects
-        a deleted row, as in Cassandra."""
-        return bool(self.cells) or self.tombstone_ts is None
+        """A row is served by reads if it has cells or a row marker newer
+        than any tombstone (after :func:`merge_rows`, the surviving cells
+        and marker are exactly those) or was never deleted.
+
+        An INSERT that names only primary-key columns writes no cells, so
+        it stamps the row marker with its write timestamp instead.  A
+        later INSERT therefore resurrects a deleted row, with or without
+        regular columns, as in Cassandra."""
+        return (bool(self.cells) or self.marker_ts is not None
+                or self.tombstone_ts is None)
 
     def value(self, column: str, default: Any = None) -> Any:
         cell = self.cells.get(column)
@@ -88,8 +94,8 @@ class Row:
 def merge_rows(a: Row, b: Row) -> Row:
     """Reconcile two replica copies of the same row (same clustering key).
 
-    Column-wise last-write-wins; a row tombstone shadows any cell written
-    at or before the tombstone's timestamp.
+    Column-wise last-write-wins; a row tombstone shadows any cell and
+    row marker written at or before the tombstone's timestamp.
     """
     if a.clustering != b.clustering:
         raise ValueError("cannot merge rows with different clustering keys")
@@ -109,7 +115,14 @@ def merge_rows(a: Row, b: Row) -> Row:
         assert cell is not None
         if tombstone is None or cell.write_ts > tombstone:
             merged[name] = cell
-    return Row(clustering=a.clustering, cells=merged, tombstone_ts=tombstone)
+    marker = max(
+        (ts for ts in (a.marker_ts, b.marker_ts) if ts is not None),
+        default=None,
+    )
+    if marker is not None and tombstone is not None and marker <= tombstone:
+        marker = None
+    return Row(clustering=a.clustering, cells=merged, tombstone_ts=tombstone,
+               marker_ts=marker)
 
 
 @dataclass(frozen=True, slots=True)

@@ -237,7 +237,8 @@ class TableSchema:
                 k: Cell(v, write_ts)
                 for k, v in values.items() if k not in key_cols
             }
-            return pk, Row(clustering=clustering, cells=cells)
+            return pk, Row(clustering=clustering, cells=cells,
+                           marker_ts=None if cells else write_ts)
 
         return build
 

@@ -191,22 +191,24 @@ class ColumnBlock:
     ``clustering`` is the sorted clustering-key array (what the sparse
     index samples and the merge compares); ``columns`` maps column name
     to :class:`Column`; ``live`` is a liveness bitmap (``None`` when no
-    row is tombstone-shadowed); ``tombstones`` keeps the sparse
-    ``offset -> tombstone_ts`` map so dead rows round-trip exactly.
+    row is tombstone-shadowed); ``tombstones`` and ``markers`` keep the
+    sparse ``offset -> tombstone_ts`` / ``offset -> marker_ts`` maps so
+    every row round-trips exactly.
     """
 
     __slots__ = ("clustering", "n", "columns", "live", "n_dead",
-                 "tombstones", "_rows")
+                 "tombstones", "markers", "_rows")
 
     def __init__(self, clustering: list[tuple], columns: dict[str, Column],
                  live: bytearray | None, n_dead: int,
-                 tombstones: dict[int, int]):
+                 tombstones: dict[int, int], markers: dict[int, int]):
         self.clustering = clustering
         self.n = len(clustering)
         self.columns = columns
         self.live = live
         self.n_dead = n_dead
         self.tombstones = tombstones
+        self.markers = markers
         self._rows: list[Row] | None = None
 
     @classmethod
@@ -219,12 +221,15 @@ class ColumnBlock:
             clustering = [r.clustering for r in rows]
         builders: dict[str, _ColumnBuilder] = {}
         tombstones: dict[int, int] = {}
+        markers: dict[int, int] = {}
         live: bytearray | None = None
         n_dead = 0
         for i, row in enumerate(rows):
+            if row.marker_ts is not None:
+                markers[i] = row.marker_ts
             if row.tombstone_ts is not None:
                 tombstones[i] = row.tombstone_ts
-                if not row.cells:
+                if not row.is_live:
                     if live is None:
                         live = bytearray(b"\x01" * n)
                     live[i] = 0
@@ -239,18 +244,19 @@ class ColumnBlock:
                    for name, b in builders.items()}
         _M_BLOCK_BUILDS.inc()
         _M_BLOCK_ROWS.inc(n)
-        return cls(clustering, columns, live, n_dead, tombstones)
+        return cls(clustering, columns, live, n_dead, tombstones, markers)
 
     def row_at(self, i: int) -> Row:
         """Materialize the exact Row stored at offset *i* (timestamps,
-        tombstone marker and all) — the compatibility boundary for
+        tombstone, row marker and all) — the compatibility boundary for
         repair, hints, and compaction."""
         cells: dict[str, Cell] = {}
         for col in self.columns.values():
             if col.present is None or col.present[i]:
                 cells[col.name] = Cell(col.value_at(i), col.write_ts[i])
         return Row(clustering=self.clustering[i], cells=cells,
-                   tombstone_ts=self.tombstones.get(i))
+                   tombstone_ts=self.tombstones.get(i),
+                   marker_ts=self.markers.get(i))
 
     def rows(self) -> list[Row]:
         """Full materialization (cached): every row, dead ones included,

@@ -34,7 +34,6 @@ __all__ = [
     "DeleteExec",
     "FilterExec",
     "FullScanAggregateExec",
-    "HashAggregateExec",
     "InsertExec",
     "LimitExec",
     "MergePartialsExec",
@@ -580,30 +579,6 @@ class MergePartialsExec(PhysicalOp):
                 "aggregates": [a.render() for a in self.aggregates]}
 
 
-class HashAggregateExec(PhysicalOp):
-    """Row-shipping aggregation: the child materializes full rows on the
-    coordinator, which then groups and folds (the pre-pushdown shape —
-    kept both as the optimizer-off baseline and for plans whose
-    aggregate cannot be pushed)."""
-
-    name = "HashAggregate"
-
-    def __init__(self, group_by: list[str],
-                 aggregates: list[AggregateCall], child: PhysicalOp):
-        self.group_by = group_by
-        self.aggregates = aggregates
-        self.children = (child,)
-
-    def execute(self, rt: Runtime) -> list[dict]:
-        rows = self.children[0].execute(rt)
-        groups = _fold_dicts(rows, self.group_by, self.aggregates)
-        return _finalize_groups(groups, self.group_by, self.aggregates)
-
-    def explain_attrs(self) -> dict[str, Any]:
-        return {"group_by": list(self.group_by),
-                "aggregates": [a.render() for a in self.aggregates]}
-
-
 class FullScanAggregateExec(PhysicalOp):
     """Unrouted aggregation over a whole table.
 
@@ -845,26 +820,24 @@ def compile_plan(plan, sparklet_available: bool) -> PhysicalOp:
         raise AssertionError(f"unknown logical node {type(node).__name__}")
 
     def compile_aggregate(node) -> PhysicalOp:
-        child = node.child
         residual: list[Predicate] = []
-        scan = child
+        scan = node.child
         if isinstance(scan, LogicalFilter):
             residual = scan.predicates
             scan = scan.child
-        if isinstance(scan, LogicalScan) and scan.full_scan:
+        if scan.full_scan:
             return FullScanAggregateExec(
                 scan.table, scan.schema, residual=residual,
                 group_by=node.group_by, aggregates=node.aggregates,
                 engine="sparklet" if sparklet_available else "serial",
             )
-        if node.partial and isinstance(scan, LogicalScan):
-            partial = PartialAggregateScanExec(
-                scan.table, scan.schema, scan.key_specs,
-                scan.lower, scan.upper, residual=residual,
-                group_by=node.group_by, aggregates=node.aggregates,
-            )
-            return MergePartialsExec(node.group_by, node.aggregates, partial)
-        return HashAggregateExec(node.group_by, node.aggregates,
-                                 compile_node(child))
+        if not node.partial:
+            raise AssertionError("routed aggregate was not pushed down")
+        partial = PartialAggregateScanExec(
+            scan.table, scan.schema, scan.key_specs,
+            scan.lower, scan.upper, residual=residual,
+            group_by=node.group_by, aggregates=node.aggregates,
+        )
+        return MergePartialsExec(node.group_by, node.aggregates, partial)
 
     return compile_node(plan)

@@ -48,12 +48,16 @@ class TestColumnBlock:
         assert row.cells["type"].write_ts == 4
 
     def test_round_trip_tombstones(self):
-        rows = [_row(1.0), _dead(2.0), _row(3.0)]
+        # The last row was deleted, then re-inserted without cells: its
+        # row marker keeps it live.
+        rows = [_row(1.0), _dead(2.0), _row(3.0),
+                Row(clustering=(4.0, 0), tombstone_ts=9, marker_ts=12)]
         block = ColumnBlock.from_rows(rows)
         assert block.n_dead == 1
         assert block.rows() == rows
         assert not block.row_at(1).is_live
         assert block.row_at(1).tombstone_ts == 9
+        assert block.row_at(3).is_live
 
     def test_ragged_columns(self):
         # Schema-flexible rows: columns missing from some rows stay

@@ -73,6 +73,16 @@ class TestMergeRows:
         # the read path keeps rows with live cells.
         assert m.tombstone_ts == 15
 
+    def test_row_marker_against_tombstone(self):
+        tomb = Row(clustering=(1,), cells={}, tombstone_ts=15)
+        older = Row(clustering=(1,), cells={}, marker_ts=10)
+        newer = Row(clustering=(1,), cells={}, marker_ts=20)
+        assert not merge_rows(older, tomb).is_live
+        assert merge_rows(older, tomb).marker_ts is None
+        m = merge_rows(merge_rows(tomb, newer), older)
+        assert m.is_live
+        assert m.marker_ts == 20
+
 
 class TestClusteringBound:
     def test_inclusive_lower(self):
